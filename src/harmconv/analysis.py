@@ -16,15 +16,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._core import SINGULARITY_GUARD, finish, norm_theta, prepare, theta_is_pi
+from ._core import (CRITICAL_TOL, check_a, finish, norm_theta,
+                    positive_int, prepare, theta_is_pi)
 from .convolution import ConvolutionSpec, conv_derivatives
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, HarmconvError, ParameterError)
-from .mappings import (eval_g, eval_h, eval_h_prime, make_mapping,
-                       singular_points)
+from .mappings import eval_g, eval_h, eval_h_prime, make_mapping
 from .series import taylor_of_mapping
-
-_CRITICAL_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +109,16 @@ class GridSpec:
             raise ParameterError("radii must lie in (0, 0.999]")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ParameterError("radii must be strictly increasing")
-        if self.angles_count < 1:
-            raise ParameterError("angles_count must be >= 1")
+        object.__setattr__(self, "angles_count",
+                           positive_int(self.angles_count, "angles_count"))
 
 
 def default_grid(radii_count: int = 60, angles_count: int = 720,
                  max_radius: float = 0.999) -> GridSpec:
     """Radii accumulate geometrically toward the outer edge, where the
     interesting behaviour lives."""
-    gaps = np.geomspace(1 - 0.05, 1 - max_radius, radii_count)
+    gaps = np.geomspace(1 - 0.05, 1 - max_radius,
+                        positive_int(radii_count, "radii_count"))
     radii = 1.0 - gaps
     radii[-1] = max_radius
     return GridSpec(tuple(radii), angles_count)
@@ -173,61 +172,35 @@ class UnivalencyReport:
         return cls.from_dict(json.loads(s))
 
 
-def _scan_rows(spec, radii, ring, sing):
-    """Moduli of the dilatation on each circle; nan marks a skipped or
-    critical node."""
-    rows = []
-    skipped = 0
-    criticals = []
-    for r in radii:
-        z = r * ring
-        dist = np.min(np.abs(z[:, None] - sing[None, :]), axis=1)
-        good = dist >= SINGULARITY_GUARD
-        mod = np.full(len(ring), np.nan)
-        if np.any(good):
-            Hp, Gp = conv_derivatives(spec, z[good])
-            crit = np.abs(Hp) <= _CRITICAL_TOL
-            vals = np.full(Hp.shape, np.nan)
-            vals[~crit] = np.abs(Gp[~crit] / Hp[~crit])
-            mod[good] = vals
-            if np.any(crit):
-                criticals.extend(complex(w) for w in z[good][crit])
-        skipped += int(np.sum(~good))
-        rows.append(mod)
-    return rows, skipped, criticals
+def _scan_row(spec, r, ring):
+    """Moduli of the dilatation on the circle |z| = r, nan at a critical
+    node, and the critical nodes."""
+    z = r * ring
+    Hp, Gp = conv_derivatives(spec, z)
+    crit = np.abs(Hp) <= CRITICAL_TOL
+    mod = np.full(len(ring), np.nan)
+    mod[~crit] = np.abs(Gp[~crit] / Hp[~crit])
+    return mod, [complex(w) for w in z[crit]]
 
 
 def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     """Evaluate |dilatation| at every grid node, row-major over radii then
     angles.
 
-    Nodes inside the singularity guard are skipped and counted; nodes where
-    the denominator vanishes are listed as critical points and excluded
-    from the max/violation statistics.  Set HARMCONV_THREADS to spread the
-    radii over a thread pool; the report is identical either way.
+    Nodes where the denominator vanishes are listed as critical points and
+    excluded from the max/violation statistics.  GridSpec keeps every node
+    within |z| <= 0.999, clear of the unit-circle singularities, so the
+    report's ``skipped`` count is always 0.  Set HARMCONV_THREADS to spread
+    the radii over a thread pool; the report is identical either way.
     """
     K = grid.angles_count
     ring = np.exp(2j * math.pi * np.arange(K) / K)
-    sing = singular_points(spec.right)
     threads = max(1, int(os.environ.get("HARMCONV_THREADS", "1")))
-    radii = list(grid.radii)
-    if threads == 1 or len(radii) < 2:
-        rows, skipped, criticals = _scan_rows(spec, radii, ring, sing)
-    else:
-        chunks = [radii[i::threads] for i in range(threads)]
-        order = [list(range(len(radii)))[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda ch: _scan_rows(spec, ch, ring, sing), chunks))
-        rows = [None] * len(radii)
-        skipped = 0
-        criticals = []
-        for idxs, (rws, sk, cr) in zip(order, parts):
-            for i, row in zip(idxs, rws):
-                rows[i] = row
-            skipped += sk
-            criticals.extend(cr)
-    M = np.concatenate(rows)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # map keeps the order of the radii
+        scanned = list(pool.map(lambda r: _scan_row(spec, r, ring), grid.radii))
+    criticals = [w for _, crit in scanned for w in crit]
+    M = np.concatenate([mod for mod, _ in scanned])
     valid = ~np.isnan(M)
     if np.any(valid):
         imax = int(np.nanargmax(M))
@@ -241,7 +214,7 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
                   for i in vio_idx]
     return UnivalencyReport(max_modulus=max_modulus, argmax=argmax,
                             violations=violations, grid=grid,
-                            critical_points=criticals, skipped=skipped)
+                            critical_points=criticals)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +267,7 @@ def eval_J(theta, z):
 def eval_B(theta, a, z):
     """The comparison quantity whose negativity underlies the dilatation
     bound; strictly negative away from 0 for every admissible theta, a."""
-    if not -1 < a < 1:
-        raise ParameterError(f"a must lie in (-1, 1), got {a!r}")
+    check_a(a)
     spec = make_mapping("F1", theta=theta)
     arr, scalar = prepare(z)
     if np.any(arr == 0):
@@ -387,11 +359,8 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     ring = np.exp(2j * math.pi * np.arange(K) / K)
 
     def circle_max(r):
-        Hp, Gp = conv_derivatives(spec, r * ring)
-        crit = np.abs(Hp) <= _CRITICAL_TOL
-        if np.any(crit):
-            return math.inf
-        return float(np.max(np.abs(Gp / Hp)))
+        mod, crit = _scan_row(spec, r, ring)
+        return math.inf if crit else float(np.max(mod))
 
     ladder = default_grid().radii
     prev = 0.0

@@ -16,7 +16,7 @@ import numpy as np
 from . import tables
 from .analysis import default_grid, scan_dilatation, univalency_radius
 from .convolution import ConvolutionSpec, conv_dilatation
-from .errors import HarmconvError, ParameterError
+from .errors import ParameterError
 from .mappings import make_mapping
 from .render import FigureSpec, render_webbing
 from .series import (hadamard, series_derivative, series_div, series_eval,
@@ -39,25 +39,11 @@ def parse_angle(text: str) -> float:
         raise click.BadParameter(f"cannot parse angle {text!r}")
 
 
-def _right_spec(family, n, theta):
-    try:
-        if family == "f0":
-            return make_mapping("F0")
-        if theta is None:
-            raise click.BadParameter(f"--theta is required for family {family}")
-        th = parse_angle(theta)
-        if family == "f1":
-            return make_mapping("F1", theta=th)
-        if n is None:
-            raise click.BadParameter("--n is required for family fn")
-        return make_mapping("Fn", theta=th, n=n)
-    except ParameterError as exc:
-        raise click.BadParameter(str(exc))
-
-
 def _conv_spec(family, n, theta, a):
+    # the --family choices are the family names in lower case
     try:
-        return ConvolutionSpec(a, _right_spec(family, n, theta))
+        th = None if theta is None else parse_angle(theta)
+        return ConvolutionSpec(a, make_mapping(family.capitalize(), theta=th, n=n))
     except ParameterError as exc:
         raise click.BadParameter(str(exc))
 
@@ -128,7 +114,11 @@ def check(family, a, n, theta, radii, angles, fmt):
     Set HARMCONV_THREADS to parallelize the scan.
     """
     spec = _conv_spec(family, n, theta, a)
-    report = scan_dilatation(spec, default_grid(radii, angles))
+    try:
+        grid = default_grid(radii, angles)
+    except ParameterError as exc:
+        raise click.BadParameter(str(exc))
+    report = scan_dilatation(spec, grid)
     if fmt == "json":
         click.echo(report.to_json())
         return
@@ -195,10 +185,8 @@ def oracle(family, a, n, theta, order, samples, seed):
     r = 0.7 * np.sqrt(rng.uniform(size=samples))
     phi = rng.uniform(0, 2 * math.pi, size=samples)
     zs = r * np.exp(1j * phi)
-    dev = 0.0
-    for z in zs:
-        dev = max(dev, abs(conv_dilatation(spec, complex(z))
-                           - series_eval(quotient, complex(z))))
+    dev = float(np.max(np.abs(conv_dilatation(spec, zs)
+                              - series_eval(quotient, zs))))
     click.echo(f"max deviation {dev:.3e} over {samples} samples")
     if dev > 1e-8:
         click.echo("FAIL: deviation above 1e-8", err=True)

@@ -1,27 +1,22 @@
 """Hadamard convolutions of the half-plane families.
 
-The left factor is always the a-parameter family (h + g = (1+a)z/(1-z));
-the right factor is F0, F1 or Fn.  The convolved analytic parts are named
-H and G, their derivatives Hp and Gp, and the convolution's dilatation is
-Gp/Hp.  Everything reduces to elementary evaluations of the right factor,
-except values of the F1 convolution which have dilogarithm closed forms.
+The left factor is always the a-family, h_a = (1+a)/2 z/(1-z) + (1-a)/4 L
+with L = log((1+z)/(1-z)) and g_a the same with L negated; the right
+factor is F0, F1 or Fn, read from its term table (see ``mappings``).  The
+convolved analytic parts are H and G, their derivatives Hp and Gp, and the
+convolution's dilatation is Gp/Hp.
+
+Convolving with z/(1-z) is the identity, and with L it integrates the odd
+quotient (h(t) - h(-t))/t from 0 to z.  Both routes are closed forms in
+the right factor's terms, with no quadrature and no small-|z| branch.
 """
-import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._core import SINGULARITY_GUARD, finish, prepare, theta_is_pi
-from .errors import (CriticalPointError, DomainError, ParameterError,
-                     QuadratureError, SingularityError)
-from .mappings import (MappingSpec, eval_g, eval_g_prime, eval_h,
-                       eval_h_prime, make_mapping, singular_points)
-from .series import taylor_of_mapping
-from .special import li2
-
-_SMALL_Z = 1e-4   # below this the odd-part difference quotients use series
-_CRITICAL_TOL = 1e-14
+from ._core import CRITICAL_TOL, check_a, finish, prepare
+from .errors import CriticalPointError, DomainError, ParameterError
+from .mappings import MappingSpec, guard, make_mapping, term_table
 
 
 @dataclass(frozen=True)
@@ -31,8 +26,7 @@ class ConvolutionSpec:
     right: MappingSpec
 
     def __post_init__(self):
-        if not -1 < self.a < 1:
-            raise ParameterError(f"a must lie in (-1, 1), got {self.a!r}")
+        check_a(self.a)
         if self.right.family not in ("F0", "F1", "Fn"):
             raise ParameterError(
                 f"right factor must be F0, F1 or Fn, got {self.right.family}")
@@ -45,10 +39,9 @@ def conv_dilatation_f0(a, z):
     reciprocal conjugate; p* is zero-free on the closed disk, so the
     expression is analytic there.
     """
-    if not -1 < a < 1:
-        raise ParameterError(f"a must lie in (-1, 1), got {a!r}")
+    check_a(a)
     arr, scalar = prepare(z)
-    if np.any(np.abs(arr) >= 1):
+    if not np.all(np.abs(arr) < 1):
         raise DomainError("conv_dilatation_f0 requires |z| < 1")
     b1 = (1 + 3 * a) / 2
     b0 = (1 + a) / 2
@@ -57,154 +50,68 @@ def conv_dilatation_f0(a, z):
     return finish(-arr * p / pstar, scalar)
 
 
+def _values(a, t, z):
+    """(H, G) at the 1-d points z for the right factor's table t."""
+    h, g = t.parts(z)
+    ih, ig = t.odd_integrals(z)
+    return (1 + a) / 2 * h + (1 - a) / 4 * ih, (1 + a) / 2 * g - (1 - a) / 4 * ig
+
+
+def _odd_guard(t, arr):
+    # the odd quotient is singular at the singular points and their negatives
+    guard(arr, np.concatenate((t.sing, -t.sing)))
+
+
 def conv_parts_f1(a, theta, z):
-    """Values (H, G) of the convolved analytic parts for a right F1 factor.
-
-    Closed forms in the dilogarithm: with u = e^{i theta},
-    S = Li2(z) - Li2(-z) + Li2(uz) - Li2(-uz) and L = log((1+z)/(1-z)),
-        H = (1+a)/2 h1 + C (S + (1 + 1/u) L),
-        G = (1+a)/2 g1 + C (S - (1 + u) L),   C = (1-a) u / (4 (1+u)^2).
-    """
-    if not -1 < a < 1:
-        raise ParameterError(f"a must lie in (-1, 1), got {a!r}")
-    if theta_is_pi(theta):
-        raise ParameterError("conv_parts_f1 is undefined at theta = pi")
-    spec = make_mapping("F1", theta=theta)
+    """Values (H, G) of the convolved analytic parts for a right F1
+    factor, by the closed forms of ``conv_value``."""
+    a = check_a(a)
+    t = term_table(make_mapping("F1", theta=theta))
     arr, scalar = prepare(z)
-    u = cmath.exp(1j * spec.theta)
-    _guard_points(arr, np.array([1, -1, cmath.exp(-1j * spec.theta),
-                                 -cmath.exp(-1j * spec.theta)]))
-    h1 = eval_h(spec, arr)
-    g1 = eval_g(spec, arr)
-    S = li2(arr) - li2(-arr) + li2(u * arr) - li2(-u * arr)
-    L = np.log(1 + arr) - np.log(1 - arr)
-    C = (1 - a) * u / (4 * (1 + u) ** 2)
-    H = (1 + a) / 2 * h1 + C * (S + (1 + 1 / u) * L)
-    G = (1 + a) / 2 * g1 + C * (S - (1 + u) * L)
-    if scalar:
-        return complex(H), complex(G)
-    return H, G
-
-
-def _guard_points(arr, sing):
-    if np.any(np.abs(arr) >= 1):
-        raise DomainError("evaluation requires |z| < 1")
-    d = np.abs(arr.reshape(-1)[:, None] - sing[None, :])
-    mins = d.min(axis=1)
-    if np.any(mins < SINGULARITY_GUARD):
-        first = int(np.argmax(mins < SINGULARITY_GUARD))
-        s = complex(sing[int(np.argmin(d[first]))])
-        raise SingularityError(f"point too close to singularity {s:.6f}",
-                               singularity=s)
-
-
-@lru_cache(maxsize=128)
-def _small_z_coeffs(right: MappingSpec):
-    # leading Taylor data of the right factor, for tiny |z|: odd h and g
-    # coefficients plus derivative coefficients, all through order 9
-    h, g = taylor_of_mapping(right, 9)
-    k = np.arange(1, 10)
-    return (h.coeffs[1::2].copy(), g.coeffs[1::2].copy(),
-            h.coeffs[1:] * k, g.coeffs[1:] * k)
+    _odd_guard(t, arr)
+    H, G = _values(a, t, arr.reshape(-1))
+    return finish(H.reshape(arr.shape), scalar), finish(G.reshape(arr.shape), scalar)
 
 
 def conv_derivatives(spec: ConvolutionSpec, z):
     """Derivatives (Hp, Gp) of the convolved analytic parts.
 
-    Hp = (1-a)/4 (h_r(z) - h_r(-z))/z + (1+a)/2 h_r'(z) and Gp the same
-    with g_r and a minus on the difference quotient.  The removable point
-    z = 0 gives (1, 0); |z| below 1e-4 is routed through the right
-    factor's odd Taylor coefficients to dodge cancellation.
+    Hp = (1-a)/4 D_h + (1+a)/2 h_r' and Gp = -(1-a)/4 D_g + (1+a)/2 g_r',
+    with the odd quotients D_h = (h_r(z) - h_r(-z))/z and D_g the same
+    for g_r, summed from the right factor's terms.  z = 0 gives (1, 0).
     """
-    a = spec.a
-    right = spec.right
     arr, scalar = prepare(z)
-    small = np.abs(arr) < _SMALL_Z
-    out_h = np.empty(arr.shape, dtype=complex)
-    out_g = np.empty(arr.shape, dtype=complex)
-
-    if np.any(~small):
-        w = np.where(small, 0.5, arr)  # placeholder keeps evaluators happy
-        hd = (eval_h(right, w) - eval_h(right, -w)) / w
-        gd = (eval_g(right, w) - eval_g(right, -w)) / w
-        hp = eval_h_prime(right, w)
-        gp = eval_g_prime(right, w)
-        out_h = np.where(small, 0, (1 - a) / 4 * hd + (1 + a) / 2 * hp)
-        out_g = np.where(small, 0, -(1 - a) / 4 * gd + (1 + a) / 2 * gp)
-    if np.any(small):
-        hodd, godd, dh, dg = _small_z_coeffs(right)
-        zloc = np.where(small, arr, 0)
-        # (h(z)-h(-z))/z = 2 sum_{odd k} c_k z^{k-1}; truncation error ~|z|^10
-        hd = 2 * np.polynomial.polynomial.polyval(zloc ** 2, hodd)
-        gd = 2 * np.polynomial.polynomial.polyval(zloc ** 2, godd)
-        hp = np.polynomial.polynomial.polyval(zloc, dh)
-        gp = np.polynomial.polynomial.polyval(zloc, dg)
-        sh = (1 - a) / 4 * hd + (1 + a) / 2 * hp
-        sg = -(1 - a) / 4 * gd + (1 + a) / 2 * gp
-        out_h = np.where(small, sh, out_h)
-        out_g = np.where(small, sg, out_g)
-    if scalar:
-        return complex(out_h[()]), complex(out_g[()])
-    return out_h, out_g
+    t = term_table(spec.right)
+    _odd_guard(t, arr)
+    a = spec.a
+    hp, gp = t.primes(arr)
+    dh, dg = t.odd_quotients(arr)
+    Hp = (1 - a) / 4 * dh + (1 + a) / 2 * hp
+    Gp = -(1 - a) / 4 * dg + (1 + a) / 2 * gp
+    return finish(Hp, scalar), finish(Gp, scalar)
 
 
 def conv_dilatation(spec: ConvolutionSpec, z):
     """The convolution's dilatation Gp/Hp."""
     arr, scalar = prepare(z)
-    Hp, Gp = conv_derivatives(spec, arr)
-    mod = np.abs(np.atleast_1d(Hp))
-    if np.any(mod <= _CRITICAL_TOL):
-        where = np.atleast_1d(arr).reshape(-1)[int(np.argmax(mod.reshape(-1) <= _CRITICAL_TOL))]
-        raise CriticalPointError(f"vanishing derivative at z = {complex(where):.6f}",
-                                 point=complex(where))
-    return finish(np.asarray(Gp) / np.asarray(Hp), scalar)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _adaptive_pair(spec, phase, lo, hi, tol, depth):
-    def panel(p, q):
-        mid = (p + q) / 2
-        half = (q - p) / 2
-        s = mid + half * _GL_NODES
-        Hp, Gp = conv_derivatives(spec, s * phase)
-        return (half * phase) * np.array([np.dot(_GL_WEIGHTS, Hp),
-                                          np.dot(_GL_WEIGHTS, Gp)])
-
-    whole = panel(lo, hi)
-    mid = (lo + hi) / 2
-    fine = panel(lo, mid) + panel(mid, hi)
-    if np.max(np.abs(whole - fine)) < tol:
-        return fine
-    if depth >= 12:
-        raise QuadratureError(
-            f"radial integration did not reach tol {tol:g} at depth 12")
-    return (_adaptive_pair(spec, phase, lo, mid, tol / 2, depth + 1)
-            + _adaptive_pair(spec, phase, mid, hi, tol / 2, depth + 1))
+    Hp, Gp = map(np.asarray, conv_derivatives(spec, arr))
+    crit = np.abs(Hp) <= CRITICAL_TOL
+    if np.any(crit):
+        where = complex(arr[crit][0])
+        raise CriticalPointError(f"vanishing derivative at z = {where:.6f}",
+                                 point=where)
+    return finish(Gp / Hp, scalar)
 
 
 def conv_value(spec: ConvolutionSpec, z):
     """Value of the convolved harmonic mapping, H(z) + conj(G(z)).
 
-    The F1 right factor uses the dilogarithm closed forms; F0 and Fn
-    integrate (Hp, Gp) adaptively along the radial segment [0, z] with
-    16-point Gauss-Legendre panels to absolute tolerance 1e-9.
+    Closed forms for every right factor: H = (1+a)/2 h_r + (1-a)/4 I_h and
+    G = (1+a)/2 g_r - (1-a)/4 I_g, where I_h and I_g integrate the odd
+    quotients from 0 to z; a log term integrates to a dilogarithm pair.
     """
     arr, scalar = prepare(z)
-    if np.any(np.abs(arr) > 0.999):
+    if not np.all(np.abs(arr) <= 0.999):
         raise DomainError("conv_value requires |z| <= 0.999")
-    if spec.right.family == "F1":
-        H, G = conv_parts_f1(spec.a, spec.right.theta, arr)
-        return finish(np.asarray(H) + np.conj(np.asarray(G)), scalar)
-    _guard_points(np.atleast_1d(arr), singular_points(spec.right))
-    flat = np.atleast_1d(arr).reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    for i, zi in enumerate(flat):
-        if zi == 0:
-            out[i] = 0
-            continue
-        phase = zi / abs(zi)
-        H, G = _adaptive_pair(spec, phase, 0.0, abs(zi), 1e-9, 0)
-        out[i] = H + G.conjugate()
-    return finish(out.reshape(arr.shape), scalar)
+    H, G = _values(spec.a, term_table(spec.right), arr.reshape(-1))
+    return finish((H + np.conj(G)).reshape(arr.shape), scalar)

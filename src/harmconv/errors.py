@@ -42,4 +42,5 @@ class BoundaryDegenerateError(HarmconvError):
 
 
 class QuadratureError(HarmconvError):
-    """Adaptive integration failed to reach the requested tolerance."""
+    """Adaptive integration failed to reach its tolerance.  Nothing raises
+    it now: every value has a closed form."""

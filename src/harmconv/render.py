@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import ConvolutionSpec, conv_value
-from .errors import HarmconvError, ParameterError
+from .errors import ParameterError
 
 _FMT = "%.6f"
 
@@ -38,41 +38,17 @@ class FigureSpec:
 def _curves(spec: ConvolutionSpec, fig: FigureSpec):
     """Sample all webbing curves; returns (list of vertex arrays, dropped).
 
-    A curve is a list of complex image points; samples that fail to
-    evaluate are dropped and split the curve at the gap.
+    A curve is an array of complex image points.  No sample is dropped:
+    FigureSpec caps max_radius at 0.999, inside conv_value's domain.
     """
     S = fig.samples_per_curve
-    curves = []
-    dropped = 0
-    params = []
-    for j in range(fig.rings):
-        r = fig.max_radius * (j + 1) / fig.rings
-        t = 2 * math.pi * np.arange(S + 1) / S  # closed loop
-        params.append(r * np.exp(1j * t))
-    for k in range(fig.rays):
-        phi = 2 * math.pi * k / fig.rays
-        s = fig.max_radius * np.arange(S) / (S - 1)
-        params.append(s * np.exp(1j * phi))
-    for zs in params:
-        try:
-            vals = conv_value(spec, zs)
-            segs = [vals]
-        except HarmconvError:
-            # retry pointwise so one bad sample only splits the curve
-            pts = []
-            segs = []
-            for z in zs:
-                try:
-                    pts.append(conv_value(spec, complex(z)))
-                except HarmconvError:
-                    dropped += 1
-                    if len(pts) > 1:
-                        segs.append(np.array(pts))
-                    pts = []
-            if len(pts) > 1:
-                segs.append(np.array(pts))
-        curves.extend(np.asarray(s) for s in segs if len(s) > 1)
-    return curves, dropped
+    t = 2 * math.pi * np.arange(S + 1) / S  # rings are closed loops
+    s = fig.max_radius * np.arange(S) / (S - 1)
+    params = [fig.max_radius * (j + 1) / fig.rings * np.exp(1j * t)
+              for j in range(fig.rings)]
+    params += [s * np.exp(1j * (2 * math.pi * k / fig.rays))
+               for k in range(fig.rays)]
+    return [conv_value(spec, zs) for zs in params], 0
 
 
 def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,

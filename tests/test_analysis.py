@@ -92,6 +92,16 @@ class TestGrids:
         with pytest.raises(ParameterError):
             GridSpec((0.5,), 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: default_grid(0),
+        lambda: default_grid(2.5),
+        lambda: GridSpec((0.5,), 2.5),
+        lambda: GridSpec((0.5,), True),
+    ], ids=["no-radii", "fractional-radii", "fractional-angles", "bool-angles"])
+    def test_counts_must_be_positive_integers(self, make):
+        with pytest.raises(ParameterError):
+            make()
+
 
 class TestScan:
     def test_detects_table_violation(self):

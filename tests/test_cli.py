@@ -97,6 +97,14 @@ def test_check_bad_a_usage_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("grid", [["--radii", "0"], ["--angles", "0"]])
+def test_check_empty_grid_usage_error(runner, grid):
+    res = runner.invoke(main, ["check", "--family", "f1", "--theta", "pi/6",
+                               "--a", "0.5"] + grid)
+    assert res.exit_code == 2
+    assert "positive integer" in res.output
+
+
 def test_f1_theta_pi_redirects(runner):
     res = runner.invoke(main, ["check", "--family", "f1", "--theta", "pi",
                                "--a", "0.5"])

@@ -5,9 +5,9 @@ import pytest
 
 from harmconv import (ConvolutionSpec, DomainError, ParameterError,
                       conv_derivatives, conv_dilatation, conv_dilatation_f0,
-                      conv_parts_f1, conv_value, hadamard, make_mapping,
-                      series_derivative, series_div, series_eval,
-                      taylor_of_mapping)
+                      conv_parts_f1, conv_value, dilatation, eval_B, eval_h,
+                      hadamard, make_mapping, series_derivative, series_div,
+                      series_eval, taylor_of_mapping)
 
 RNG = np.random.default_rng(31)
 
@@ -85,17 +85,22 @@ class TestDerivatives:
         assert np.max(np.abs(Gp / Hp - conv_dilatation_f0(0.25, z))) < 1e-12
 
     def test_small_z_branch_is_continuous(self):
-        # the series fallback below 1e-4 must join the direct formula
-        spec = ConvolutionSpec(-0.3, make_mapping("Fn", n=3, theta=0.8))
-        for mag in (9e-5, 1.1e-4):
-            for ph in (0.0, 2.1, 4.0):
-                z = mag * np.exp(1j * ph)
-                Hp, Gp = conv_derivatives(spec, z)
-                H, G = oracle_series(-0.3, spec.right, N=16)
-                assert Hp == pytest.approx(
-                    series_eval(series_derivative(H), z), abs=1e-12)
-                assert Gp == pytest.approx(
-                    series_eval(series_derivative(G), z), abs=1e-12)
+        # the closed form keeps full accuracy all the way down to z = 0
+        rights = (make_mapping("Fn", n=3, theta=0.8), make_mapping("F0"),
+                  make_mapping("F1", theta=0.3),
+                  make_mapping("Fn", n=15, theta=math.pi),
+                  make_mapping("Fn", n=10, theta=-math.pi / 2))
+        for right in rights:
+            spec = ConvolutionSpec(-0.3, right)
+            H, G = oracle_series(-0.3, right, N=16)
+            for mag in (1e-12, 1e-8, 1e-6, 9e-5, 1.1e-4, 1e-2):
+                for ph in (0.0, 2.1, 4.0):
+                    z = mag * np.exp(1j * ph)
+                    Hp, Gp = conv_derivatives(spec, z)
+                    assert Hp == pytest.approx(
+                        series_eval(series_derivative(H), z), abs=1e-12), right
+                    assert Gp == pytest.approx(
+                        series_eval(series_derivative(G), z), abs=1e-12), right
 
 
 class TestDilatation:
@@ -160,6 +165,14 @@ class TestValues:
         for z in (0.6, 0.3 + 0.45j, -0.7j, -0.55 + 0.2j):
             want = series_eval(H, z) + np.conj(series_eval(G, z))
             assert conv_value(spec, z) == pytest.approx(want, abs=1e-9)
+        # out to |z| = 0.95, where the series needs ~2000 terms
+        zs = np.array([0.6, 0.3 + 0.45j, -0.95, 0.95j, 0.95 * np.exp(0.4j),
+                       0.95 * np.exp(-2.5j)])
+        for right in (make_mapping("F0"), make_mapping("Fn", n=15, theta=math.pi)):
+            H, G = oracle_series(a, right, N=2000)
+            want = series_eval(H, zs) + np.conj(series_eval(G, zs))
+            got = conv_value(ConvolutionSpec(a, right), zs)
+            assert np.max(np.abs(got - want)) < 1e-9, right
 
     def test_quadrature_general_theta(self):
         a = -0.4
@@ -169,8 +182,44 @@ class TestValues:
         z = 0.45 - 0.3j
         want = series_eval(H, z) + np.conj(series_eval(G, z))
         assert conv_value(spec, z) == pytest.approx(want, abs=1e-9)
+        right = make_mapping("Fn", n=10, theta=-math.pi / 2)
+        H, G = oracle_series(a, right, N=2000)
+        zs = np.array([z, 0.95, -0.95j, 0.95 * np.exp(2.2j), 0.9 * np.exp(-0.3j)])
+        want = series_eval(H, zs) + np.conj(series_eval(G, zs))
+        got = conv_value(ConvolutionSpec(a, right), zs)
+        assert np.max(np.abs(got - want)) < 1e-9
 
     def test_radius_cap(self):
         spec = ConvolutionSpec(0.5, make_mapping("F1", theta=0.5))
         with pytest.raises(DomainError):
             conv_value(spec, 0.9995)
+
+
+F0_SPEC = ConvolutionSpec(0.5, make_mapping("F0"))
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: make_mapping("F1", theta=NAN), ParameterError),
+    (lambda: make_mapping("Fn", n=2, theta=math.inf), ParameterError),
+    (lambda: make_mapping("Fn", n=True, theta=math.pi), ParameterError),
+    (lambda: make_mapping("Fn", n=2.0, theta=math.pi), ParameterError),
+    (lambda: make_mapping("Fa", a=NAN), ParameterError),
+    (lambda: ConvolutionSpec(NAN, make_mapping("F0")), ParameterError),
+    (lambda: conv_dilatation_f0(NAN, 0.5), ParameterError),
+    (lambda: conv_parts_f1(NAN, 0.5, 0.3), ParameterError),
+    (lambda: conv_parts_f1(0.5, math.inf, 0.3), ParameterError),
+    (lambda: eval_B(0.3, NAN, 0.5), ParameterError),
+    (lambda: conv_dilatation(F0_SPEC, complex(NAN)), DomainError),
+    (lambda: conv_derivatives(F0_SPEC, np.array([0.5, NAN])), DomainError),
+    (lambda: conv_value(F0_SPEC, complex(NAN)), DomainError),
+    (lambda: conv_dilatation_f0(0.5, NAN), DomainError),
+    (lambda: eval_h(make_mapping("F0"), NAN), DomainError),
+    (lambda: dilatation(make_mapping("F0"), NAN), DomainError),
+], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
+        "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
+        "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
+        "f0-z-nan", "h-z-nan", "mapping-dilatation-z-nan"])
+def test_invalid_inputs_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
