@@ -115,10 +115,9 @@ def check(family, a, n, theta, radii, angles, fmt):
     """
     spec = _conv_spec(family, n, theta, a)
     try:
-        grid = default_grid(radii, angles)
+        report = scan_dilatation(spec, default_grid(radii, angles))
     except ParameterError as exc:
         raise click.BadParameter(str(exc))
-    report = scan_dilatation(spec, grid)
     if fmt == "json":
         click.echo(report.to_json())
         return

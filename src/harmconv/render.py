@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._core import positive_int
 from .convolution import ConvolutionSpec, conv_value
 from .errors import ParameterError
 
@@ -25,12 +26,10 @@ class FigureSpec:
     height_px: int = 640
 
     def __post_init__(self):
-        if self.rings < 1:
-            raise ParameterError("rings must be >= 1")
-        if self.rays < 2:
-            raise ParameterError("rays must be >= 2")
-        if self.samples_per_curve < 64:
-            raise ParameterError("samples_per_curve must be >= 64")
+        for name, least in (("rings", 1), ("rays", 2), ("samples_per_curve", 64),
+                            ("width_px", 1), ("height_px", 1)):
+            if positive_int(getattr(self, name), name) < least:
+                raise ParameterError(f"{name} must be >= {least}")
         if not 0 < self.max_radius <= 0.999:
             raise ParameterError("max_radius must lie in (0, 0.999]")
 

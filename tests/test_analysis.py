@@ -7,9 +7,9 @@ import pytest
 from harmconv import (BoundaryDegenerateError, CohnInapplicableError,
                       ConvolutionSpec, DomainError, GridSpec, J_boundary,
                       ParameterError, Poly, UnivalencyReport, cohn_reduce,
-                      default_grid, eval_B, eval_J, eval_g, eval_g_prime,
-                      eval_h, eval_h_prime, make_mapping, scan_dilatation,
-                      univalency_radius, zeros_in_unit_disk)
+                      conv_derivatives, default_grid, eval_B, eval_J, eval_g,
+                      eval_g_prime, eval_h, eval_h_prime, make_mapping,
+                      scan_dilatation, univalency_radius, zeros_in_unit_disk)
 
 RNG = np.random.default_rng(41)
 
@@ -131,6 +131,13 @@ class TestScan:
         monkeypatch.setenv("HARMCONV_THREADS", "4")
         threaded = scan_dilatation(spec, grid)
         assert threaded.to_json() == base.to_json()
+
+    @pytest.mark.parametrize("threads", ["2.5", "x"])
+    def test_non_integer_threads_rejected(self, monkeypatch, threads):
+        monkeypatch.setenv("HARMCONV_THREADS", threads)
+        spec = ConvolutionSpec(0.5, make_mapping("F0"))
+        with pytest.raises(ParameterError):
+            scan_dilatation(spec, default_grid(2, 8))
 
     def test_report_json_round_trip(self):
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
@@ -264,8 +271,27 @@ class TestRadius:
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
         r = univalency_radius(spec, 1e-6)
         assert r < 0.99
-        # regression: deterministic ladder + bisection value
+        # regression: the bisection's value
         assert r == pytest.approx(0.966208, abs=5e-5)
+
+    @pytest.mark.parametrize("a,n,theta", [
+        (0.5, 2, math.pi), (0.7, 10, -math.pi / 2), (-0.5, 2, math.pi / 2),
+        (0.0, 40, math.pi)], ids=["n2-pi", "n10-minus-half-pi", "n2-half-pi",
+                                   "n40-pi"])
+    def test_radius_against_dense_ring(self, a, n, theta):
+        # the answer meets tol on a 400,000-node ring, sampled independently
+        # of the search's own refinement
+        spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+        tol = 1e-6
+        r = univalency_radius(spec, tol)
+        ring = np.exp(2j * math.pi * np.arange(400_000) / 400_000)
+
+        def dense_max(rho):
+            Hp, Gp = conv_derivatives(spec, rho * ring)
+            return np.max(np.abs(Gp / Hp))
+
+        assert dense_max(r) < 1
+        assert dense_max(r + tol) >= 1
 
     def test_tolerance_floor(self):
         spec = ConvolutionSpec(0.5, make_mapping("F0"))

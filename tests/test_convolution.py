@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from harmconv import (ConvolutionSpec, DomainError, ParameterError,
+from harmconv import (ConvolutionSpec, DomainError, FigureSpec, ParameterError,
                       conv_derivatives, conv_dilatation, conv_dilatation_f0,
                       conv_parts_f1, conv_value, dilatation, eval_B, eval_h,
                       hadamard, make_mapping, series_derivative, series_div,
-                      series_eval, taylor_of_mapping)
+                      series_eval, taylor_of_mapping, univalency_radius)
 
 RNG = np.random.default_rng(31)
 
@@ -216,10 +216,21 @@ NAN = float("nan")
     (lambda: conv_dilatation_f0(0.5, NAN), DomainError),
     (lambda: eval_h(make_mapping("F0"), NAN), DomainError),
     (lambda: dilatation(make_mapping("F0"), NAN), DomainError),
+    (lambda: univalency_radius(F0_SPEC, NAN), ParameterError),
+    (lambda: univalency_radius(F0_SPEC, math.inf), ParameterError),
+    (lambda: univalency_radius(F0_SPEC, 1.0), ParameterError),
+    (lambda: FigureSpec(rings=2.5), ParameterError),
+    (lambda: FigureSpec(rings=True), ParameterError),
+    (lambda: FigureSpec(samples_per_curve=64.5), ParameterError),
+    (lambda: FigureSpec(width_px=-5), ParameterError),
+    (lambda: FigureSpec(height_px=0), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
-        "f0-z-nan", "h-z-nan", "mapping-dilatation-z-nan"])
+        "f0-z-nan", "h-z-nan", "mapping-dilatation-z-nan", "radius-tol-nan",
+        "radius-tol-inf", "radius-tol-one", "figure-rings-float",
+        "figure-rings-bool", "figure-samples-float", "figure-width-negative",
+        "figure-height-zero"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
