@@ -19,10 +19,10 @@ import numpy as np
 
 from ._core import (CRITICAL_TOL, check_a, finish, norm_theta,
                     positive_int, prepare, theta_is_pi)
-from .convolution import ConvolutionSpec, conv_derivatives
+from .convolution import ConvolutionSpec, _odd_guard, conv_derivatives
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
-from .mappings import eval_g, eval_h, eval_h_prime, make_mapping
+from .mappings import make_mapping, term_table
 from .series import taylor_of_mapping
 
 
@@ -106,7 +106,7 @@ class GridSpec:
         object.__setattr__(self, "radii", r)
         if len(r) == 0:
             raise ParameterError("at least one radius required")
-        if any(x <= 0 for x in r) or r[-1] > 0.999 + 1e-12:
+        if not all(0 < x <= 0.999 + 1e-12 for x in r):  # NaN fails too
             raise ParameterError("radii must lie in (0, 0.999]")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ParameterError("radii must be strictly increasing")
@@ -118,6 +118,9 @@ def default_grid(radii_count: int = 60, angles_count: int = 720,
                  max_radius: float = 0.999) -> GridSpec:
     """Radii accumulate geometrically toward the outer edge, where the
     interesting behaviour lives."""
+    if not 0 < max_radius <= 0.999:
+        raise ParameterError(
+            f"max_radius must lie in (0, 0.999], got {max_radius!r}")
     gaps = np.geomspace(1 - 0.05, 1 - max_radius,
                         positive_int(radii_count, "radii_count"))
     radii = 1.0 - gaps
@@ -231,60 +234,57 @@ def _j_series_coeffs(theta):
     return h.coeffs[1::2].copy(), g.coeffs[3::2].copy()
 
 
+def _f1_odd_ratios(theta, z):
+    """X = D_h/h1' and Y = D_g/(z h1') of the right F1 factor, with D_h and
+    D_g its odd quotients (h(z) - h(-z))/z and (g(z) - g(-z))/z from the
+    term table; the points are guarded as for ``conv_derivatives``."""
+    t = term_table(make_mapping("F1", theta=theta))
+    _odd_guard(t, z)
+    h1p = t.primes(z)[0]
+    dh, dg = t.odd_quotients(z)
+    return dh / h1p, dg / (z * h1p)
+
+
 def eval_J(theta, z):
     """The analytic comparison function J on the open disk; J(0) = 2.
 
-    J(z) = P (2 - Q D) with P = (1+uz)(1-z)/((1+u)z),
-    Q = (1-z)(1-uz)/((1+u)z) and D the log term, u = e^{i theta}.  The
-    simplified form loses ~|z|^{-2} digits of cancellation near the
-    origin, so |z| < 0.01 is evaluated from the Taylor route instead.
+    J = X + e^{-i theta} Y with X, Y the odd-quotient ratios of the right
+    F1 factor, read from its term table for |z| >= 0.01.  Y there has an
+    absolute error of about eps/|z|, so |z| < 0.01 is evaluated from the
+    Taylor series instead.
     """
     th = norm_theta(theta)
     if theta_is_pi(th):
         raise ParameterError("J is undefined at theta = pi")
     arr, scalar = prepare(z)
-    if np.any(np.abs(arr) >= 1):
-        raise DomainError("eval_J requires |z| < 1")
     u = cmath.exp(1j * th)
     out = np.empty(arr.shape, dtype=complex)
-    small = np.abs(arr) < 0.01
-
-    if np.any(~small):
-        w = np.where(small, 0.5, arr)
-        D = (np.log(1 + u * w) - np.log(1 - w)
-             - np.log(1 - u * w) + np.log(1 + w))
-        P = (1 + u * w) * (1 - w) / ((1 + u) * w)
-        Q = (1 - w) * (1 - u * w) / ((1 + u) * w)
-        out = np.where(small, 0, P * (2 - Q * D))
-    if np.any(small):
-        hodd, godd = _j_series_coeffs(th)
-        w = np.where(small, arr, 0)
-        w2 = w * w
-        # J = [2 sum c^h_{2j+1} z^{2j} + 2 e^{-i th} z sum c^g_{2j+3} z^{2j}] / h1'
-        A = 2 * np.polynomial.polynomial.polyval(w2, hodd) \
-            + 2 / u * w * np.polynomial.polynomial.polyval(w2, godd)
-        h1p = 1 / ((1 + u * w) * (1 - w) ** 2)
-        out = np.where(small, A / h1p, out)
+    small = np.abs(arr) < 0.01  # False at NaN, so the guard sees it
+    X, Y = _f1_odd_ratios(th, arr[~small])
+    out[~small] = X + Y / u
+    hodd, godd = _j_series_coeffs(th)
+    w = arr[small]
+    w2 = w * w
+    # J = [2 sum c^h_{2j+1} z^{2j} + 2 e^{-i th} z sum c^g_{2j+3} z^{2j}] / h1'
+    A = 2 * np.polynomial.polynomial.polyval(w2, hodd) \
+        + 2 / u * w * np.polynomial.polynomial.polyval(w2, godd)
+    out[small] = A * (1 + u * w) * (1 - w) ** 2
     return finish(out, scalar)
 
 
 def eval_B(theta, a, z):
     """The comparison quantity whose negativity underlies the dilatation
-    bound; strictly negative away from 0 for every admissible theta, a."""
+    bound; strictly negative away from 0 for every admissible theta, a.
+
+    B = c^2 (|Y|^2 - |X|^2) with c = (1-a)/(2(1+a)) and X, Y as in eval_J.
+    """
     check_a(a)
-    spec = make_mapping("F1", theta=theta)
     arr, scalar = prepare(z)
     if np.any(arr == 0):
         raise DomainError("eval_B is undefined at z = 0")
-    c = (1 - a) / (2 * (1 + a))
-    h1p = eval_h_prime(spec, arr)
-    hd = eval_h(spec, arr) - eval_h(spec, -arr)
-    gd = eval_g(spec, arr) - eval_g(spec, -arr)
-    B = (np.abs(c * gd / (arr * arr * h1p)) ** 2
-         - np.abs(c * hd / (arr * h1p)) ** 2)
-    if scalar:
-        return float(B)
-    return B
+    X, Y = _f1_odd_ratios(theta, arr)
+    B = ((1 - a) / (2 * (1 + a))) ** 2 * (np.abs(Y) ** 2 - np.abs(X) ** 2)
+    return float(B) if scalar else B
 
 
 @dataclass(frozen=True)
@@ -305,6 +305,8 @@ def J_boundary(theta, t) -> JBoundaryResult:
     th = norm_theta(theta)
     if theta_is_pi(th):
         raise ParameterError("J_boundary is undefined at theta = pi")
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be a finite number, got {t!r}")
     tau = 2 * math.pi
     tt = float(t) % tau
     tol = 1e-12

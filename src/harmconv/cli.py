@@ -2,7 +2,7 @@
 
 Angles are accepted as exact rational multiples of pi ("7pi/8", "-pi/4",
 "pi", "0") or as plain radian floats.  Exit codes: 0 on success, 1 when a
-tolerance check fails, 2 on usage errors.
+tolerance check fails, 2 on usage errors, a bad parameter included.
 """
 import csv
 import json
@@ -41,11 +41,8 @@ def parse_angle(text: str) -> float:
 
 def _conv_spec(family, n, theta, a):
     # the --family choices are the family names in lower case
-    try:
-        th = None if theta is None else parse_angle(theta)
-        return ConvolutionSpec(a, make_mapping(family.capitalize(), theta=th, n=n))
-    except ParameterError as exc:
-        raise click.BadParameter(str(exc))
+    th = None if theta is None else parse_angle(theta)
+    return ConvolutionSpec(a, make_mapping(family.capitalize(), theta=th, n=n))
 
 
 _family_options = [
@@ -65,7 +62,16 @@ def _with_family(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        # a ParameterError from any command is a usage error, exit code 2
+        try:
+            return super().invoke(ctx)
+        except ParameterError as exc:
+            raise click.UsageError(str(exc)) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Half-plane harmonic mappings, their convolutions, and univalency
     diagnostics."""
@@ -114,10 +120,7 @@ def check(family, a, n, theta, radii, angles, fmt):
     Set HARMCONV_THREADS to parallelize the scan.
     """
     spec = _conv_spec(family, n, theta, a)
-    try:
-        report = scan_dilatation(spec, default_grid(radii, angles))
-    except ParameterError as exc:
-        raise click.BadParameter(str(exc))
+    report = scan_dilatation(spec, default_grid(radii, angles))
     if fmt == "json":
         click.echo(report.to_json())
         return
@@ -133,11 +136,7 @@ def check(family, a, n, theta, radii, angles, fmt):
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 def radius(family, a, n, theta, tol):
     """Estimate the univalency radius of the convolution."""
-    spec = _conv_spec(family, n, theta, a)
-    try:
-        r = univalency_radius(spec, tol)
-    except ParameterError as exc:
-        raise click.BadParameter(str(exc))
+    r = univalency_radius(_conv_spec(family, n, theta, a), tol)
     click.echo(f"{r:.6f}")
 
 
@@ -155,11 +154,8 @@ def render(family, a, n, theta, out, rings, rays, samples, max_radius,
            stroke, stroke_width):
     """Write the disk-image webbing of the convolution as SVG."""
     spec = _conv_spec(family, n, theta, a)
-    try:
-        fig = FigureSpec(rings=rings, rays=rays, samples_per_curve=samples,
-                         max_radius=max_radius)
-    except ParameterError as exc:
-        raise click.BadParameter(str(exc))
+    fig = FigureSpec(rings=rings, rays=rays, samples_per_curve=samples,
+                     max_radius=max_radius)
     svg = render_webbing(spec, fig, stroke=stroke, stroke_width=stroke_width)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -168,9 +164,10 @@ def render(family, a, n, theta, out, rings, rays, samples, max_radius,
 
 @main.command()
 @_with_family
-@click.option("--order", type=int, default=256, show_default=True,
-              help="Series truncation order.")
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--order", type=click.IntRange(min=1), default=256,
+              show_default=True, help="Series truncation order.")
+@click.option("--samples", type=click.IntRange(min=1), default=100,
+              show_default=True)
 @click.option("--seed", type=int, default=20240817, show_default=True)
 def oracle(family, a, n, theta, order, samples, seed):
     """Compare the closed-form dilatation against the coefficientwise

@@ -4,6 +4,7 @@ drawn as concentric ring images and radial segment images.
 Output is plain SVG 1.1 text, byte-identical for identical inputs.
 """
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,8 @@ from .convolution import ConvolutionSpec, conv_value
 from .errors import ParameterError
 
 _FMT = "%.6f"
+# an SVG 1.1 hex colour or a colour name: nothing that can end the attribute
+_COLOUR = re.compile(r"#(?:[0-9a-fA-F]{3}){1,2}|[a-zA-Z]+")
 
 
 @dataclass(frozen=True)
@@ -35,11 +38,8 @@ class FigureSpec:
 
 
 def _curves(spec: ConvolutionSpec, fig: FigureSpec):
-    """Sample all webbing curves; returns (list of vertex arrays, dropped).
-
-    A curve is an array of complex image points.  No sample is dropped:
-    FigureSpec caps max_radius at 0.999, inside conv_value's domain.
-    """
+    """Sample all webbing curves; returns a list of vertex arrays, each
+    an array of complex image points."""
     S = fig.samples_per_curve
     t = 2 * math.pi * np.arange(S + 1) / S  # rings are closed loops
     s = fig.max_radius * np.arange(S) / (S - 1)
@@ -47,13 +47,23 @@ def _curves(spec: ConvolutionSpec, fig: FigureSpec):
               for j in range(fig.rings)]
     params += [s * np.exp(1j * (2 * math.pi * k / fig.rays))
                for k in range(fig.rays)]
-    return [conv_value(spec, zs) for zs in params], 0
+    return [conv_value(spec, zs) for zs in params]
 
 
 def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
                    stroke: str = "#1f3d7a", stroke_width: float = 1.0) -> str:
-    """Render the disk image webbing as an SVG document string."""
-    curves, dropped = _curves(spec, fig)
+    """Render the disk image webbing as an SVG document string.
+
+    ``stroke`` is a hex colour or a colour name and ``stroke_width`` a
+    finite positive width in pixels; anything else is a ParameterError.
+    """
+    if not isinstance(stroke, str) or not _COLOUR.fullmatch(stroke):
+        raise ParameterError(f"stroke must be a hex colour or a colour name, "
+                             f"got {stroke!r}")
+    if not 0 < stroke_width < math.inf:
+        raise ParameterError(f"stroke_width must be finite and > 0, "
+                             f"got {stroke_width!r}")
+    curves = _curves(spec, fig)
     xs = np.concatenate([c.real for c in curves])
     ys = np.concatenate([-c.imag for c in curves])  # SVG y points down
     x0, x1 = float(xs.min()), float(xs.max())
@@ -68,7 +78,9 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{fig.width_px}" height="{fig.height_px}" '
         f'viewBox="{_FMT % vb[0]} {_FMT % vb[1]} {_FMT % vb[2]} {_FMT % vb[3]}">',
-        f"<!-- dropped samples: {dropped} -->",
+        # no sample is dropped: FigureSpec caps max_radius at 0.999, inside
+        # conv_value's domain; the comment stays for readers of the SVG
+        "<!-- dropped samples: 0 -->",
         f'<g fill="none" stroke="{stroke}" stroke-width="{_FMT % sw}">',
     ]
     for c in curves:

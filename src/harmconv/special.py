@@ -33,11 +33,11 @@ _B_OVER_FACT = _bernoulli_over_factorial(_LOG_SERIES_TERMS)
 def log_principal(z):
     """Principal-branch logarithm, arg in (-pi, pi].
 
-    Raises DomainError at z = 0.
+    Raises DomainError at z = 0 and at a non-finite z.
     """
     arr, scalar = prepare(z)
-    if np.any(arr == 0):
-        raise DomainError("log_principal undefined at z = 0")
+    if np.any(arr == 0) or not np.all(np.isfinite(arr)):
+        raise DomainError("log_principal needs a finite nonzero z")
     return finish(np.log(arr), scalar)
 
 
@@ -61,13 +61,13 @@ def li2(z):
     """Dilogarithm sum_{k>=1} z^k/k^2 on the closed unit disk.
 
     Arguments with |z| in (1, 1+1e-12] are clamped to the circle; anything
-    farther out raises DomainError.  Absolute error stays below ~1e-14
-    everywhere on the closed disk.
+    farther out, or NaN, raises DomainError.  Absolute error stays below
+    ~1e-14 everywhere on the closed disk.
     """
     arr, scalar = prepare(z)
     w = np.atleast_1d(arr).astype(complex).copy()
     r = np.abs(w)
-    if np.any(r > 1 + 1e-12):
+    if not np.all(r <= 1 + 1e-12):  # NaN fails too
         raise DomainError("li2 is only evaluated on the closed unit disk")
     over = r > 1
     if np.any(over):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .convolution import ConvolutionSpec, conv_dilatation
+from .errors import ParameterError
 from .mappings import make_mapping
 
 PROBE_RADIUS = 0.99
@@ -88,5 +89,7 @@ def compute_row(row: TableRow) -> dict:
 
 def compute_table(which: int):
     """Recompute a whole bundled table (1: angle pi, 2: general angles)."""
-    rows = {1: THETA_PI_ROWS, 2: GENERAL_ROWS}[which]
+    if which not in (1, 2):
+        raise ParameterError(f"table must be 1 or 2, got {which!r}")
+    rows = THETA_PI_ROWS if which == 1 else GENERAL_ROWS
     return [compute_row(r) for r in rows]

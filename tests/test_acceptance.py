@@ -177,7 +177,7 @@ def test_criterion_09_figures_render_structurally():
         assert "dropped samples: 0" in svg, (a, th)
         spec = ConvolutionSpec(a, make_mapping("F1", theta=th))
         assert render_webbing(spec, fig) == svg, (a, th)
-        curves, _ = _curves(spec, fig)
+        curves = _curves(spec, fig)
         ys = curves[fig.rings - 1].imag
         y0, y1 = ys.min(), ys.max()
         for y in np.linspace(y0 + 0.02 * (y1 - y0), y1 - 0.02 * (y1 - y0), 33):

@@ -192,6 +192,28 @@ class TestJ:
                 b = eval_J(th, (0.01 + 1e-9) * w)
                 assert abs(a - b) < 1e-7
 
+    @pytest.mark.parametrize("theta", [math.pi - 1e-6, -(math.pi - 1e-6)])
+    def test_near_pi_against_mpmath(self, theta):
+        # the definition, with h of F1 (h' = 1/((1+uz)(1-z)^2), h(0) = 0)
+        # and g = z/(1-z) - h at 40 digits
+        mp = pytest.importorskip("mpmath")
+        z = np.outer([1e-4, 0.0099, 0.0101, 0.1, 0.5, 0.95],
+                     np.exp(1j * (0.3 + np.arange(8) * math.pi / 4))).ravel()
+        with mp.workdps(40):
+            u = mp.expj(theta)
+
+            def h(w):
+                return (w / ((1 - w) * (1 + u))
+                        + u / (1 + u) ** 2 * (mp.log(1 + u * w) - mp.log(1 - w)))
+
+            want = []
+            for w in map(mp.mpc, z):
+                hd = h(w) - h(-w)
+                gd = 2 * w / (1 - w * w) - hd
+                want.append(complex((hd / w + gd / (u * w * w))
+                                    * (1 + u * w) * (1 - w) ** 2))
+        assert np.max(np.abs(eval_J(theta, z) - np.array(want))) < 1e-6
+
     def test_rejects_theta_pi_and_boundary(self):
         with pytest.raises(ParameterError):
             eval_J(math.pi, 0.5)
@@ -245,7 +267,7 @@ class TestB:
             2j * math.pi * RNG.uniform(size=1000))
         z = z[np.abs(z) > 1e-3]
         for th, a in ((0.0, 0.5), (math.pi / 6, -0.3), (-math.pi / 2, 0.8),
-                      (5 * math.pi / 6, 0.0)):
+                      (5 * math.pi / 6, 0.0), (math.pi - 1e-8, 0.5)):
             assert np.max(eval_B(th, a, z)) < 0
 
     def test_schwarz_bound(self):

@@ -155,6 +155,22 @@ def test_oracle_passes(runner):
     assert "max deviation" in res.output
 
 
+@pytest.mark.parametrize("bad", [["--order", "0"], ["--samples", "0"],
+                                 ["--samples", "-1"]])
+def test_oracle_bad_counts_usage_error(runner, bad):
+    res = runner.invoke(main, ["oracle", "--family", "f0", "--a", "0.5"] + bad)
+    assert res.exit_code == 2
+
+
+def test_render_bad_stroke_usage_error(runner, tmp_path):
+    out = tmp_path / "fig.svg"
+    res = runner.invoke(main, [
+        "render", "--family", "f1", "--theta", "pi/6", "--a", "0.5",
+        "--out", str(out), "--stroke", '"/><script>alert(1)</script><g x="'])
+    assert res.exit_code == 2
+    assert not out.exists()
+
+
 def test_oracle_f0(runner):
     res = runner.invoke(main, ["oracle", "--family", "f0", "--a", "-0.4",
                                "--samples", "25"])

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from harmconv import (ConvolutionSpec, DomainError, FigureSpec, ParameterError,
+from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
+                      J_boundary, ParameterError, compute_table,
                       conv_derivatives, conv_dilatation, conv_dilatation_f0,
-                      conv_parts_f1, conv_value, dilatation, eval_B, eval_h,
-                      hadamard, make_mapping, series_derivative, series_div,
-                      series_eval, taylor_of_mapping, univalency_radius)
+                      conv_parts_f1, conv_value, default_grid, dilatation,
+                      eval_B, eval_h, eval_J, hadamard, li2, make_mapping,
+                      series_derivative, series_div, series_eval,
+                      taylor_of_mapping, univalency_radius)
+from harmconv.special import log_principal
 
 RNG = np.random.default_rng(31)
 
@@ -224,13 +227,23 @@ NAN = float("nan")
     (lambda: FigureSpec(samples_per_curve=64.5), ParameterError),
     (lambda: FigureSpec(width_px=-5), ParameterError),
     (lambda: FigureSpec(height_px=0), ParameterError),
+    (lambda: eval_J(0.5, NAN), DomainError),
+    (lambda: li2(NAN), DomainError),
+    (lambda: log_principal(NAN), DomainError),
+    (lambda: J_boundary(0.5, NAN), ParameterError),
+    (lambda: J_boundary(0.5, math.inf), ParameterError),
+    (lambda: GridSpec((0.5, NAN), 8), ParameterError),
+    (lambda: default_grid(max_radius=NAN), ParameterError),
+    (lambda: compute_table(3), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
         "f0-z-nan", "h-z-nan", "mapping-dilatation-z-nan", "radius-tol-nan",
         "radius-tol-inf", "radius-tol-one", "figure-rings-float",
         "figure-rings-bool", "figure-samples-float", "figure-width-negative",
-        "figure-height-zero"])
+        "figure-height-zero", "J-z-nan", "li2-nan", "log-nan",
+        "J-boundary-t-nan", "J-boundary-t-inf", "grid-radius-nan",
+        "default-grid-max-radius-nan", "table-three"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

@@ -48,8 +48,7 @@ def test_curve_count_and_drop_comment():
 
 def test_rays_meet_at_the_origin_image():
     # every ray starts at z=0, whose image is 0
-    curves, dropped = _curves(spec_f1(), SMALL)
-    assert dropped == 0
+    curves = _curves(spec_f1(), SMALL)
     for k in range(SMALL.rays):
         ray = curves[SMALL.rings + k]
         assert abs(ray[0]) < 1e-12
@@ -58,7 +57,7 @@ def test_rays_meet_at_the_origin_image():
 def test_vertices_match_conv_value():
     from harmconv import conv_value
     spec = spec_f1()
-    curves, _ = _curves(spec, SMALL)
+    curves = _curves(spec, SMALL)
     ring0 = curves[0]
     r = SMALL.max_radius * 1 / SMALL.rings
     S = SMALL.samples_per_curve
@@ -69,7 +68,7 @@ def test_vertices_match_conv_value():
 
 def test_real_family_symmetric_about_real_axis():
     # a=0, theta=0: all series coefficients real, so the picture mirrors
-    curves, _ = _curves(spec_f1(a=0.0, theta=0.0), SMALL)
+    curves = _curves(spec_f1(a=0.0, theta=0.0), SMALL)
     pts = np.concatenate(curves)
     ys = np.sort(np.round(pts.imag, 9))
     assert np.max(np.abs(ys + ys[::-1])) < 1e-8
@@ -77,7 +76,7 @@ def test_real_family_symmetric_about_real_axis():
 
 def test_outer_ring_is_convex_in_horizontal_direction():
     fig = FigureSpec(rings=6, rays=8, samples_per_curve=512)
-    curves, _ = _curves(spec_f1(), fig)
+    curves = _curves(spec_f1(), fig)
     ys = curves[fig.rings - 1].imag
     y0, y1 = ys.min(), ys.max()
     for y in np.linspace(y0 + 0.02 * (y1 - y0), y1 - 0.02 * (y1 - y0), 41):
@@ -92,3 +91,20 @@ def test_stroke_options_pass_through():
     assert 'stroke="#ff0000"' in svg
     m = re.search(r'stroke-width="([0-9.]+)"', svg)
     assert m and float(m.group(1)) > 0
+
+
+@pytest.mark.parametrize("stroke", ["red", "#f00", "#1F3D7A"])
+def test_colour_strokes_accepted(stroke):
+    svg = render_webbing(spec_f1(), SMALL, stroke=stroke)
+    assert f'stroke="{stroke}"' in svg
+
+
+@pytest.mark.parametrize("stroke,width", [
+    ('"/><script>alert(1)</script><g x="', 1.0), ("#12345g", 1.0),
+    ("", 1.0), ("red ", 1.0), (None, 1.0),
+    ("red", float("nan")), ("red", math.inf), ("red", 0.0), ("red", -1.0),
+], ids=["markup", "bad-hex", "empty", "space", "none", "width-nan",
+        "width-inf", "width-zero", "width-negative"])
+def test_bad_stroke_rejected(stroke, width):
+    with pytest.raises(ParameterError):
+        render_webbing(spec_f1(), SMALL, stroke=stroke, stroke_width=width)
