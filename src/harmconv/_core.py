@@ -23,11 +23,20 @@ def finish(arr, scalar):
     return complex(arr[()]) if scalar else arr
 
 
+def real(value, name):
+    """value as a float; ParameterError unless it is a real number (no bool:
+    a flag passed for a number is a mistake, not 0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def check_a(a):
     """a as a float; ParameterError unless -1 < a < 1 (NaN fails too)."""
-    if a is None or not -1 < a < 1:
+    x = real(a, "a")
+    if not -1 < x < 1:
         raise ParameterError(f"a must lie in (-1, 1), got {a!r}")
-    return float(a)
+    return x
 
 
 def positive_int(value, name):
@@ -41,9 +50,10 @@ def positive_int(value, name):
 def norm_theta(theta):
     """Reduce an angle to (-pi, pi]; ParameterError unless it is a finite
     number."""
-    if theta is None or not math.isfinite(theta):
+    t = real(theta, "theta")
+    if not math.isfinite(t):
         raise ParameterError(f"theta must be a finite number, got {theta!r}")
-    t = math.remainder(float(theta), 2 * math.pi)
+    t = math.remainder(t, 2 * math.pi)
     if t <= -math.pi:
         t = math.pi
     return t

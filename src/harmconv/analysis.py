@@ -3,8 +3,9 @@
 Contains the Schur-Cohn style zero counter used for the F0 convolution,
 grid scans of convolution dilatations with violation reporting, the
 auxiliary boundary function J with its piecewise boundary analysis, and the
-univalency radius by bisection on the circle maximum of |Gp/Hp|, which is
-nondecreasing in r while Hp has no zeros (maximum modulus principle).
+univalency radius by a safeguarded regula falsi on the log of the circle
+maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no zeros
+(maximum modulus principle).
 """
 import cmath
 import json
@@ -18,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._core import (CRITICAL_TOL, check_a, finish, norm_theta,
-                    positive_int, prepare, theta_is_pi)
+                    positive_int, prepare, real, theta_is_pi)
 from .convolution import ConvolutionSpec, _odd_guard, conv_derivatives
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
@@ -102,7 +103,10 @@ class GridSpec:
     angles_count: int
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.radii)
+        if np.ndim(self.radii) != 1:
+            raise ParameterError(
+                f"radii must be a sequence of numbers, got {self.radii!r}")
+        r = tuple(real(x, "each radius") for x in self.radii)
         object.__setattr__(self, "radii", r)
         if len(r) == 0:
             raise ParameterError("at least one radius required")
@@ -118,7 +122,7 @@ def default_grid(radii_count: int = 60, angles_count: int = 720,
                  max_radius: float = 0.999) -> GridSpec:
     """Radii accumulate geometrically toward the outer edge, where the
     interesting behaviour lives."""
-    if not 0 < max_radius <= 0.999:
+    if not 0 < real(max_radius, "max_radius") <= 0.999:
         raise ParameterError(
             f"max_radius must lie in (0, 0.999], got {max_radius!r}")
     gaps = np.geomspace(1 - 0.05, 1 - max_radius,
@@ -136,6 +140,16 @@ def _uncx(d):
     return None if d is None else complex(d["re"], d["im"])
 
 
+# one violation as json.dumps(indent=2) writes it inside the report
+_VIOLATION = """    {
+      "modulus": %s,
+      "z": {
+        "im": %s,
+        "re": %s
+      }
+    }"""
+
+
 @dataclass
 class UnivalencyReport:
     """Outcome of a dilatation grid scan."""
@@ -146,19 +160,35 @@ class UnivalencyReport:
     critical_points: List[complex]
     skipped: int = 0
 
-    def to_dict(self) -> dict:
+    def _summary(self) -> dict:
+        # every key but "violations"
         return {
             "max_modulus": self.max_modulus,
             "argmax": _cx(self.argmax),
-            "violations": [{"z": _cx(z), "modulus": m} for z, m in self.violations],
             "grid": {"radii": list(self.grid.radii),
                      "angles_count": self.grid.angles_count},
             "critical_points": [_cx(z) for z in self.critical_points],
             "skipped": self.skipped,
         }
 
+    def to_dict(self) -> dict:
+        d = self._summary()
+        d["violations"] = [{"z": _cx(z), "modulus": m} for z, m in self.violations]
+        return d
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
+        byte.  "violations" sorts last, so the rest goes through json and the
+        entries through a template; json formats their floats, one flat
+        column at a time, without the slow indenting encoder."""
+        head = json.dumps(self._summary(), indent=2, sort_keys=True)[:-2]
+        if not self.violations:
+            return head + ',\n  "violations": []\n}'
+        zs, ms = zip(*self.violations)
+        columns = [json.dumps(col)[1:-1].split(", ") for col in (
+            ms, [float(z.imag) for z in zs], [float(z.real) for z in zs])]
+        entries = ",\n".join(_VIOLATION % row for row in zip(*columns))
+        return f'{head},\n  "violations": [\n{entries}\n  ]\n}}'
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnivalencyReport":
@@ -216,9 +246,9 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     else:
         max_modulus = float("nan")
         argmax = None
-    vio_idx = np.nonzero(valid & (M >= 1))[0]
-    violations = [(complex(grid.radii[i // K] * ring[i % K]), float(M[i]))
-                  for i in vio_idx]
+    vio = np.flatnonzero(valid & (M >= 1))
+    zs = np.asarray(grid.radii)[vio // K] * ring[vio % K]
+    violations = list(zip(zs.tolist(), M[vio].tolist()))
     return UnivalencyReport(max_modulus=max_modulus, argmax=argmax,
                             violations=violations, grid=grid,
                             critical_points=criticals)
@@ -305,7 +335,7 @@ def J_boundary(theta, t) -> JBoundaryResult:
     th = norm_theta(theta)
     if theta_is_pi(th):
         raise ParameterError("J_boundary is undefined at theta = pi")
-    if not math.isfinite(t):
+    if not math.isfinite(real(t, "t")):
         raise ParameterError(f"t must be a finite number, got {t!r}")
     tau = 2 * math.pi
     tt = float(t) % tau
@@ -367,24 +397,55 @@ def _circle_max(spec, r):
     return float(np.max(m, initial=np.max(mod)))
 
 
+def _log_or_nan(m):
+    # log M(r) for the regula falsi; nan where it is not finite
+    return math.log(m) if 0 < m < math.inf else math.nan
+
+
 def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     """Univalency radius r: max |Gp/Hp| < 1 on |z| = r and >= 1 on
     |z| = r + tol; 1.0 when the circle |z| = 0.999 passes.
 
     If Hp has no zeros on |z| <= r (assumed, not checked), Gp/Hp is analytic
     there, so its maximum M(r) on |z| = r is nondecreasing by the maximum
-    modulus principle, and unbounded toward a zero of Hp.  One bisection on
-    [0, 0.999] thus finds where "no critical node and M(r) < 1" ends.
+    modulus principle, and unbounded toward a zero of Hp.  The search keeps
+    a bracket [lo, hi] of [0, 0.999] with "no critical node and M < 1" at
+    lo and not at hi, and narrows it by Illinois regula falsi on log M(r),
+    each probe at least tol/2 inside the bracket.  It bisects instead while
+    log M is not finite at an end (M(0) is never computed) and whenever the
+    bracket has fallen behind one halving per two probes, so it needs at
+    most about twice the circles of a plain bisection: 43 against 21 at
+    tol = 1e-6.
     """
+    tol = real(tol, "tol")
     if not 1e-6 <= tol < 1:
         raise ParameterError(f"tol must lie in [1e-6, 1), got {tol!r}")
-    if _circle_max(spec, 0.999) < 1:
+    m = _circle_max(spec, 0.999)
+    if m < 1:
         return 1.0
     lo, hi = 0.0, 0.999
+    y_lo, y_hi = math.nan, _log_or_nan(m)
+    moved = 0  # the end the last step replaced: -1 lo, +1 hi
+    steps = 0
     while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _circle_max(spec, mid) < 1:
-            lo = mid
+        # regula falsi while both ends have a finite log M and the bracket
+        # has kept pace with one halving per two steps (one step of grace)
+        if (math.isfinite(y_lo + y_hi)
+                and hi - lo <= 0.999 * 2 ** ((1 - steps) / 2)):
+            r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
+            r = min(max(r, lo + tol / 2), hi - tol / 2)
         else:
-            hi = mid
+            r = (lo + hi) / 2
+        steps += 1
+        m = _circle_max(spec, r)
+        # Illinois: an end kept for the second step running has its log M
+        # halved, so that the next probe moves toward it
+        if m < 1:
+            if moved < 0:
+                y_hi /= 2
+            lo, y_lo, moved = r, _log_or_nan(m), -1
+        else:
+            if moved > 0:
+                y_lo /= 2
+            hi, y_hi, moved = r, _log_or_nan(m), 1
     return lo

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import positive_int
+from ._core import positive_int, real
 from .convolution import ConvolutionSpec, conv_value
 from .errors import ParameterError
 
@@ -33,7 +33,7 @@ class FigureSpec:
                             ("width_px", 1), ("height_px", 1)):
             if positive_int(getattr(self, name), name) < least:
                 raise ParameterError(f"{name} must be >= {least}")
-        if not 0 < self.max_radius <= 0.999:
+        if not 0 < real(self.max_radius, "max_radius") <= 0.999:
             raise ParameterError("max_radius must lie in (0, 0.999]")
 
 
@@ -60,7 +60,7 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
     if not isinstance(stroke, str) or not _COLOUR.fullmatch(stroke):
         raise ParameterError(f"stroke must be a hex colour or a colour name, "
                              f"got {stroke!r}")
-    if not 0 < stroke_width < math.inf:
+    if not 0 < real(stroke_width, "stroke_width") < math.inf:
         raise ParameterError(f"stroke_width must be finite and > 0, "
                              f"got {stroke_width!r}")
     curves = _curves(spec, fig)

@@ -154,6 +154,40 @@ class TestScan:
         # and the serialized form is stable
         assert back.to_json() == rep.to_json()
 
+    def test_violations_match_nodewise_list(self):
+        # the violation list against one node at a time, as (z, modulus)
+        # pairs of Python numbers in row-major order
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
+        grid = GridSpec((0.9, 0.95, 0.99), 360)
+        ring = np.exp(2j * math.pi * np.arange(360) / 360)
+        want = []
+        for r in grid.radii:
+            Hp, Gp = conv_derivatives(spec, r * ring)
+            mod = np.abs(Gp / Hp)
+            want += [(complex(r * ring[k]), float(mod[k]))
+                     for k in np.flatnonzero(mod >= 1)]
+        got = scan_dilatation(spec, grid).violations
+        assert want and got == want
+        assert all(type(z) is complex and type(m) is float for z, m in got)
+
+    def test_json_matches_the_indenting_encoder(self):
+        # to_json writes the violations from a template: byte for byte what
+        # json.dumps(indent=2) writes, NaN and Infinity included
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
+        grid = GridSpec((0.5, 0.9), 4)
+        reports = [
+            scan_dilatation(spec, GridSpec((0.9, 0.99), 90)),
+            UnivalencyReport(math.inf, 0.5 + 0j,
+                             [(0.5 + 0j, math.inf), (-0.9j, 1.5),
+                              (0.1 - 0.2j, math.nan), (1e-300 + 3j, 1e300),
+                              (complex(-0.0, -0.5), 2)], grid, [0.1 + 0.1j]),
+            UnivalencyReport(math.nan, None, [], grid, []),
+            UnivalencyReport(0.3, -0.5j, [], grid, [0.2j, -0.3 + 0j]),
+        ]
+        for rep in reports:
+            assert rep.to_json() == json.dumps(rep.to_dict(), indent=2,
+                                               sort_keys=True)
+
 
 def unsimplified_J(theta, z):
     spec = make_mapping("F1", theta=theta)

@@ -8,8 +8,8 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       conv_derivatives, conv_dilatation, conv_dilatation_f0,
                       conv_parts_f1, conv_value, default_grid, dilatation,
                       eval_B, eval_h, eval_J, hadamard, li2, make_mapping,
-                      series_derivative, series_div, series_eval,
-                      taylor_of_mapping, univalency_radius)
+                      render_webbing, series_derivative, series_div,
+                      series_eval, taylor_of_mapping, univalency_radius)
 from harmconv.special import log_principal
 
 RNG = np.random.default_rng(31)
@@ -235,6 +235,20 @@ NAN = float("nan")
     (lambda: GridSpec((0.5, NAN), 8), ParameterError),
     (lambda: default_grid(max_radius=NAN), ParameterError),
     (lambda: compute_table(3), ParameterError),
+    (lambda: ConvolutionSpec("0.5", make_mapping("F0")), ParameterError),
+    (lambda: ConvolutionSpec(True, make_mapping("F0")), ParameterError),
+    (lambda: make_mapping("F1", theta="pi"), ParameterError),
+    (lambda: make_mapping("Fa", a=0.5j), ParameterError),
+    (lambda: univalency_radius(F0_SPEC, "1e-3"), ParameterError),
+    (lambda: GridSpec(("x",), 4), ParameterError),
+    (lambda: GridSpec(None, 4), ParameterError),
+    (lambda: FigureSpec(max_radius="0.5"), ParameterError),
+    (lambda: render_webbing(F0_SPEC, FigureSpec(rings=1, rays=2,
+                                                samples_per_curve=64),
+                            stroke_width="2"), ParameterError),
+    (lambda: default_grid(max_radius="0.9"), ParameterError),
+    (lambda: J_boundary(0.3, "1"), ParameterError),
+    (lambda: eval_B(0.3, "0.5", 0.5), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -243,7 +257,11 @@ NAN = float("nan")
         "figure-rings-bool", "figure-samples-float", "figure-width-negative",
         "figure-height-zero", "J-z-nan", "li2-nan", "log-nan",
         "J-boundary-t-nan", "J-boundary-t-inf", "grid-radius-nan",
-        "default-grid-max-radius-nan", "table-three"])
+        "default-grid-max-radius-nan", "table-three", "spec-a-string",
+        "spec-a-bool", "theta-string", "fa-a-complex", "radius-tol-string",
+        "grid-radius-string", "grid-radii-none", "figure-max-radius-string",
+        "render-stroke-width-string", "default-grid-max-radius-string",
+        "J-boundary-t-string", "B-a-string"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
