@@ -14,9 +14,11 @@ CRITICAL_TOL = 1e-14
 
 
 def prepare(z):
-    """Coerce to a complex array; report whether the input was scalar."""
-    arr = np.asarray(z, dtype=complex)
-    return arr, arr.ndim == 0
+    """Coerce numbers to a complex array; report whether it was scalar."""
+    arr = np.asarray(z)
+    if arr.dtype.kind not in "iufc":
+        raise ParameterError(f"points must be numbers, got dtype {arr.dtype}")
+    return arr.astype(complex, copy=False), arr.ndim == 0
 
 
 def finish(arr, scalar):

@@ -13,7 +13,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +23,6 @@ from .convolution import ConvolutionSpec, _odd_guard, conv_derivatives
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import make_mapping, term_table
-from .series import taylor_of_mapping
 
 
 # ---------------------------------------------------------------------------
@@ -257,49 +255,23 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
 # ---------------------------------------------------------------------------
 # the auxiliary function J
 
-@lru_cache(maxsize=64)
-def _j_series_coeffs(theta):
-    # odd Taylor coefficients of the right F1 factor, for tiny |z|
-    h, g = taylor_of_mapping(make_mapping("F1", theta=theta), 24)
-    return h.coeffs[1::2].copy(), g.coeffs[3::2].copy()
-
-
 def _f1_odd_ratios(theta, z):
-    """X = D_h/h1' and Y = D_g/(z h1') of the right F1 factor, with D_h and
-    D_g its odd quotients (h(z) - h(-z))/z and (g(z) - g(-z))/z from the
-    term table; the points are guarded as for ``conv_derivatives``."""
+    """X = D_h/h1' and Y = D_g/(u z h1') of the right F1 factor, D_h and D_g
+    its odd quotients, guarded as in ``conv_derivatives``; as D_g = z^2 R_g
+    (``odd_rests``), Y keeps its relative accuracy down to z = 0."""
     t = term_table(make_mapping("F1", theta=theta))
     _odd_guard(t, z)
     h1p = t.primes(z)[0]
-    dh, dg = t.odd_quotients(z)
-    return dh / h1p, dg / (z * h1p)
+    rh, rg = t.odd_rests(z)
+    return (2 + z * z * rh) / h1p, z * rg / (t.u * h1p)
 
 
 def eval_J(theta, z):
-    """The analytic comparison function J on the open disk; J(0) = 2.
-
-    J = X + e^{-i theta} Y with X, Y the odd-quotient ratios of the right
-    F1 factor, read from its term table for |z| >= 0.01.  Y there has an
-    absolute error of about eps/|z|, so |z| < 0.01 is evaluated from the
-    Taylor series instead.
-    """
-    th = norm_theta(theta)
-    if theta_is_pi(th):
-        raise ParameterError("J is undefined at theta = pi")
+    """The analytic comparison function J = X + Y on the open disk, with X, Y
+    from ``_f1_odd_ratios``; J(0) = 2.  Like F1, undefined at theta = pi."""
     arr, scalar = prepare(z)
-    u = cmath.exp(1j * th)
-    out = np.empty(arr.shape, dtype=complex)
-    small = np.abs(arr) < 0.01  # False at NaN, so the guard sees it
-    X, Y = _f1_odd_ratios(th, arr[~small])
-    out[~small] = X + Y / u
-    hodd, godd = _j_series_coeffs(th)
-    w = arr[small]
-    w2 = w * w
-    # J = [2 sum c^h_{2j+1} z^{2j} + 2 e^{-i th} z sum c^g_{2j+3} z^{2j}] / h1'
-    A = 2 * np.polynomial.polynomial.polyval(w2, hodd) \
-        + 2 / u * w * np.polynomial.polynomial.polyval(w2, godd)
-    out[small] = A * (1 + u * w) * (1 - w) ** 2
-    return finish(out, scalar)
+    X, Y = _f1_odd_ratios(theta, arr)
+    return finish(X + Y, scalar)
 
 
 def eval_B(theta, a, z):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tables
 from .analysis import default_grid, scan_dilatation, univalency_radius
-from .convolution import ConvolutionSpec, conv_dilatation
+from .convolution import ConvolutionSpec, conv_dilatation, conv_value
 from .errors import ParameterError
 from .mappings import make_mapping
 from .render import FigureSpec, render_webbing
@@ -170,21 +170,25 @@ def render(family, a, n, theta, out, rings, rays, samples, max_radius,
               show_default=True)
 @click.option("--seed", type=int, default=20240817, show_default=True)
 def oracle(family, a, n, theta, order, samples, seed):
-    """Compare the closed-form dilatation against the coefficientwise
-    series route at random points with |z| <= 0.7; exits 1 above 1e-8."""
+    """Compare the closed-form dilatation and values against the
+    coefficientwise series route at random points with |z| <= 0.7; exits 1
+    when either deviates by more than 1e-8."""
     spec = _conv_spec(family, n, theta, a)
     ha, ga = taylor_of_mapping(make_mapping("Fa", a=a), order)
     hr, gr = taylor_of_mapping(spec.right, order)
-    quotient = series_div(series_derivative(hadamard(ga, gr)),
-                          series_derivative(hadamard(ha, hr)))
+    H, G = hadamard(ha, hr), hadamard(ga, gr)
+    quotient = series_div(series_derivative(G), series_derivative(H))
     rng = np.random.default_rng(seed)
     r = 0.7 * np.sqrt(rng.uniform(size=samples))
     phi = rng.uniform(0, 2 * math.pi, size=samples)
     zs = r * np.exp(1j * phi)
     dev = float(np.max(np.abs(conv_dilatation(spec, zs)
                               - series_eval(quotient, zs))))
+    vdev = float(np.max(np.abs(conv_value(spec, zs) - series_eval(H, zs)
+                               - np.conj(series_eval(G, zs)))))
     click.echo(f"max deviation {dev:.3e} over {samples} samples")
-    if dev > 1e-8:
+    click.echo(f"max value deviation {vdev:.3e} over {samples} samples")
+    if max(dev, vdev) > 1e-8:
         click.echo("FAIL: deviation above 1e-8", err=True)
         sys.exit(1)
 

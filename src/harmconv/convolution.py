@@ -85,9 +85,9 @@ def conv_derivatives(spec: ConvolutionSpec, z):
     _odd_guard(t, arr)
     a = spec.a
     hp, gp = t.primes(arr)
-    dh, dg = t.odd_quotients(arr)
-    Hp = (1 - a) / 4 * dh + (1 + a) / 2 * hp
-    Gp = -(1 - a) / 4 * dg + (1 + a) / 2 * gp
+    rh, rg = t.odd_rests(arr)  # D_h = 2 + z^2 rh, D_g = 2(s-1) + z^2 rg
+    Hp = (1 - a) / 4 * (2 + arr * arr * rh) + (1 + a) / 2 * hp
+    Gp = -(1 - a) / 4 * (2 * (t.s - 1) + arr * arr * rg) + (1 + a) / 2 * gp
     return finish(Hp, scalar), finish(Gp, scalar)
 
 

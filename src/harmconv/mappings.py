@@ -10,19 +10,19 @@ h'(0) = 1:
   or F1.
 
 Each family is one table of terms, built by ``term_table``, the only code
-that branches on the family.  With w = u z^n,
+that branches on the family; F0, F1 and Fn share one formula.  With
+w = z/(1-z), phi(x) = (x - log1p x)/x^2 and v = u z^n,
 
-    h = alpha z/(1-z) + beta (1/(1-z)^2 - 1)
-        + sum_j c_j log((1 - r_j z)/(1 - p_j z)),       g = s z/(1-z) - h,
-    h' = (1 + b w)/((1 + w)(1-z)^2),  g' = (w + b)/((1 + w)(1-z)^2),
+    h = alpha w - k w^2 phi(d w) + sum_j c_j log(1 - r_j z),   g = s w - h,
+    h' = (1 + b v)/((1 + v)(1-z)^2),  g' = (v + b)/((1 + v)(1-z)^2),
 
-and the dilatation is (w + b)/(1 + b w).  A log term with partner root
-p = 0 is a lone log(1 - r z); F1 and Fa keep their two logs, which have
-equal and opposite coefficients, as one pair, so that no operator
-subtracts the two.  The singular points, 1 and the reciprocals of the
-nonzero roots, lie on the unit circle.  The evaluators accept scalars or
-numpy arrays of points in the open unit disk and refuse points within
-1e-9 of a singularity.
+and the dilatation is (v + b)/(1 + b v).  The phi term is a pair of logs,
+c log((1 - (1-d) z)/(1 - z)) = c log1p(d w), less c d w, which alpha holds;
+for Fn, 1 - d is the root nearest 1 and k = c d^2 stays bounded as theta
+-> +-pi, where c grows like 1/d^2; at theta = pi, d = 0.  The singular
+points, 1 and the reciprocals of the roots, lie on the unit circle.  The
+evaluators accept scalars or numpy arrays of points in the open unit disk
+and refuse points within 1e-9 of a singularity.
 """
 import cmath
 import math
@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._core import (SINGULARITY_GUARD, check_a, finish, norm_theta,
-                    positive_int, prepare, theta_is_pi)
+                    positive_int, prepare)
 from .errors import DomainError, ParameterError, SingularityError
 from .special import li2
 
@@ -53,8 +53,9 @@ class MappingSpec:
 
 def make_mapping(family, a=None, theta=None, n=None) -> MappingSpec:
     """Validate parameters and construct a MappingSpec.  ParameterError for
-    missing or out-of-range parameters; F1 at theta = pi is rejected with a
-    pointer to Fn(n=1, theta=pi), which covers that case."""
+    missing or out-of-range parameters; F1 at theta = pi, outside the
+    family's definition, is rejected with a pointer to Fn(n=1, theta=pi),
+    which is F0."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}, expected one of {FAMILIES}")
     need = _PARAMETERS[family]
@@ -63,30 +64,33 @@ def make_mapping(family, a=None, theta=None, n=None) -> MappingSpec:
         a=check_a(a) if "a" in need else None,
         theta=norm_theta(theta) if "theta" in need else None,
         n=positive_int(n, "Fn's n") if "n" in need else None)
-    term_table(spec)  # refuses the parameters a family has no table for
+    if family == "F1" and spec.theta == math.pi:
+        raise ParameterError(
+            "F1 excludes theta = pi; use Fn with n=1, theta=pi (F0) instead")
     return spec
 
 
 class TermTable(NamedTuple):
     """One mapping as data; see the module docstring for the formulas."""
-    alpha: complex
-    beta: float
-    c: np.ndarray     # log-term coefficients c_j
-    r: np.ndarray     # log-term roots r_j
-    p: np.ndarray     # partner roots p_j, 0 for a lone log
+    alpha: complex    # coefficient of w = z/(1-z)
+    k: complex        # pair weight c d^2
+    d: complex        # 1 - r for the pair's root r
+    c: np.ndarray     # lone-log coefficients c_j
+    r: np.ndarray     # lone-log roots r_j
     s: float          # h + g = s z/(1-z)
     u: complex
     n: int
     b: float
-    sing: np.ndarray  # singular points, 1 and 1/root for each nonzero root
+    sing: np.ndarray  # singular points, 1 and 1/root for each root but 1
 
     def parts(self, z):
         """(h, g) at z."""
-        geom = z / (1 - z)
-        h = self.alpha * geom + self.beta * z * (2 - z) / (1 - z) ** 2
-        for c, r, p in zip(self.c, self.r, self.p):
-            h = h + c * np.log((1 - r * z) / (1 - p * z))
-        return h, self.s * geom - h
+        w = z / (1 - z)
+        phi = _phi(self.d * w) if self.d else 0.5  # phi(0) at theta = pi
+        h = self.alpha * w - self.k * w * w * phi
+        for c, r in zip(self.c, self.r):
+            h = h + c * np.log(1 - r * z)
+        return h, self.s * w - h
 
     def primes(self, z):
         """(h', g') at z."""
@@ -94,89 +98,107 @@ class TermTable(NamedTuple):
         q = 1 / ((1 + w) * (1 - z) ** 2)
         return (1 + self.b * w) * q, (w + self.b) * q
 
-    def odd_quotients(self, z):
-        """((h(z) - h(-z))/z, (g(z) - g(-z))/z): 2 alpha/(1-z^2) +
-        4 beta/(1-z^2)^2 and, per log term, -2c (atanh(rz) - atanh(pz))/z =
-        -2c (r-p)/m atanh(y)/y with m = 1 - rpz^2, y = (r-p)z/m.  Each
-        summand is its value at 0 plus a rest; the values add up to
-        2 h'(0) = 2, so z = 0 is exact whatever the coefficients' rounding."""
+    def odd_rests(self, z):
+        """(R_h, R_g) with (h(z) - h(-z))/z = 2 + z^2 R_h and (g(z) -
+        g(-z))/z = 2(s-1) + z^2 R_g, each summed from its own terms' rests:
+        2 alpha/(1-z^2) for w, -2cr^3 E(rz) per lone log and 2k/m (d E(-dz/m)
+        /m^2 - 1/(1-z^2)) for the pair, m = 1 - (1-d) z^2, with E(y) =
+        (atanh(y)/y - 1)/y^2."""
         z2 = z * z
         q = 1 / (1 - z2)
-        dh = 2 + (2 * self.alpha + 4 * self.beta * (1 + q)) * z2 * q
-        for c, r, p in zip(self.c, self.r, self.p):
-            d = r - p
-            m = 1 - r * p * z2
-            dh = dh - 2 * c * d * (_atanh_ratio(d * z / m) / m - 1)
-        return dh, 2 * self.s * q - dh
+        m = 1 - (1 - self.d) * z2
+        # the pair; d = 0, at theta = pi, zeroes its atanh rest
+        e = self.d * _atanh_rest(-self.d * z / m) / (m * m) if self.d else 0
+        logs = 2 * self.k / m * (e - q)
+        for c, r in zip(self.c, self.r):
+            logs = logs - 2 * c * r ** 3 * _atanh_rest(r * z)
+        return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
 
     def odd_integrals(self, z):
-        """Integrals from 0 to z of the odd quotients (1-d z), the Hadamard
-        products with L = log((1+z)/(1-z)): alpha L + beta (2z/(1-z^2) + L)
-        + c (Li2(-rz) - Li2(rz)) per root (-c for a partner), in one li2
-        call; and s L minus that for g."""
-        L = 2 * z * _atanh_ratio(z)
-        paired = self.p != 0
-        c = np.concatenate((self.c, -self.c[paired]))
-        w = np.outer(np.concatenate((self.r, self.p[paired])), z)
-        li = li2(np.concatenate((-w, w)))
-        ih = (self.alpha * L + self.beta * (2 * z / (1 - z * z) + L)
-              + c @ (li[:len(c)] - li[len(c):]))
-        return ih, self.s * L - ih
+        """Integrals from 0 to z of the odd quotients, the Hadamard products
+        with L = log((1+z)/(1-z)): alpha L - 2k F for w and the pair, plus
+        c (Li2(-rz) - Li2(rz)) per lone log, for h; s L minus that for g.
+        F, the second divided difference of chi_2(rz) at r = 1, 1, 1-d, is
+        ``_chi_series`` where rho = |d| max(1, |z/(1-z)|, |z/(1+z)|) < 1/4,
+        else four Li2 values (two more logs), where 1/d^2 <= 16 (rho/d)^2."""
+        L = 2 * z * (1 + z * z * _atanh_rest(z))
+        w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
+        near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
+        r = self.r if near.all() else np.append(self.r, (1 - d, 1))
+        logs = li2(np.multiply.outer((-1, 1), np.outer(r, z))) if len(r) else 0
+        ih = self.alpha * L + (self.c @ (logs[0][:m] - logs[1][:m]) if m else 0)
+        pair = np.empty_like(z)  # -2k F
+        if len(r) > m:
+            pair = self.k / d * ((logs[0][m] - logs[1][m] - logs[0][m + 1]
+                                  + logs[1][m + 1]) / d - L)
+        if near.any():
+            pair[near] = -2 * self.k * _chi_series(d, w[near], v[near], L[near] / 2)
+        return ih + pair, self.s * L - ih - pair
 
 
-def _atanh_ratio(w):
-    # atanh(w)/w = log(v)/((v - 1)(1 - w)) with v = (1+w)/(1-w): Kahan's
-    # log1p correction, the ratio log(v)/(v - 1) taken as 1 where v rounds
-    # to 1, so it keeps full relative accuracy down to w = 0
-    m = 1 - w
-    v = 1 + 2 * w / m
-    d = v - 1
-    one = d == 0
-    return (np.log(v) + one) / ((d + one) * m)
+def _atanh_rest(y):
+    # E(y) = (atanh(y)/y - 1)/y^2 = 1/3 + y^2/5 + ... + y^16/19 + ... by
+    # that series below |y| = 0.1, where the subtraction would cancel;
+    # above it atanh(y) = log((1+y)/(1-y))/2 costs E at most 3 eps/|y|^3
+    small = np.abs(y) < 0.1
+    x = np.where(small, 0.5, y)  # placeholder: the series replaces it
+    out = np.asarray((np.log((1 + x) / (1 - x)) / (2 * x) - 1) / (x * x))
+    if small.any():
+        t, acc = y[small] ** 2, 0
+        for j in range(19, 1, -2):
+            acc = acc * t + 1 / j
+        out[small] = acc
+    return out
 
 
-def _table(alpha=0.0, beta=0.0, c=(), r=(), p=None, s=1.0, u=1.0, n=1, b=0.0):
-    c = np.array(c, dtype=complex)
-    r = np.array(r, dtype=complex)
-    p = np.zeros_like(r) if p is None else np.array(p, dtype=complex)
-    keep = c != 0  # Fn at n = 1, theta = pi has a zero log coefficient
-    c, r, p = c[keep], r[keep], p[keep]
-    roots = np.concatenate((r, p))
-    sing = np.concatenate(([1 + 0j], 1 / roots[(roots != 0) & (roots != 1)]))
-    return TermTable(complex(alpha), beta, c, r, p, s, complex(u), n, b, sing)
+def _phi(x):
+    # (x - log1p x)/x^2, 1/2 at 0: with t = x/(2+x), log1p x = 2 atanh t,
+    # so phi = (1-t)(1 - t (1-t) E(t))/2 and no term cancels
+    v = 2 / (2 + x)  # 1 - t
+    return v * (1 - x / (2 + x) * v * _atanh_rest(x / (2 + x))) / 2
+
+
+def _chi_series(d, w, v, b):
+    # F(d) = (f(1-d) - f(1) + d f'(1))/d^2 of f(r) = chi_2(rz) as the Taylor
+    # series in -d, sum_k b_k (-d)^(k-1)/(k+1), with b_0 = atanh z and b_k =
+    # (w^k - v^k)/(2k) - b_(k-1), w = z/(1-z), v = -z/(1+z): the terms
+    # shrink like rho^k, and it runs until rho^k < 2^-56
+    top = abs(d) * max(1, np.abs(w).max(), np.abs(v).max())
+    dk, acc = 1, 0
+    for j in range(1, 2 + (int(-38.8 / math.log(top)) if top else 0)):
+        b = (w ** j - v ** j) / (2 * j) - b
+        acc, dk = acc + b * dk / (j + 1), dk * -d
+    return acc
 
 
 @lru_cache(maxsize=256)
 def term_table(spec: MappingSpec) -> TermTable:
-    """The term table of a mapping, cached per spec; ParameterError for F1
-    at theta = pi, where its coefficients have a pole."""
-    if spec.family == "F0":
-        return _table(beta=0.5, u=-1)
+    """The term table of a mapping, cached; F0 = Fn(1, pi), F1 = Fn(1, theta)."""
     if spec.family == "Fa":
-        a = spec.a
-        return _table(alpha=(1 + a) / 2, c=((1 - a) / 4,), r=(-1,), p=(1,),
-                      s=1 + a, b=a)
-    pi = theta_is_pi(spec.theta)
-    if spec.family == "F1":
-        if pi:
-            raise ParameterError(
-                "F1 is undefined at theta = pi; use Fn with n=1, theta=pi instead")
-        u = cmath.exp(1j * spec.theta)
-        return _table(alpha=1 / (1 + u), c=(u / (1 + u) ** 2,), r=(-u,), p=(1,),
-                      u=u)
-    n = spec.n
-    if pi:
-        k = np.arange(1, n)
-        csc2 = 1 / np.sin(math.pi * k / n) ** 2
-        return _table(alpha=(n - 1) / (2 * n), beta=1 / (2 * n),
-                      c=np.append(-(n * n - 1) / (12 * n), csc2 / (4 * n)),
-                      r=np.append(1, np.exp(-2j * math.pi * k / n)), u=-1, n=n)
-    u = cmath.exp(1j * spec.theta)
-    phi = ((2 * np.arange(n) + 1) * math.pi - spec.theta) / n
-    csc2 = 1 / np.sin(phi / 2) ** 2
-    return _table(alpha=1 / (1 + u),
-                  c=np.append(-n * u / (1 + u) ** 2, csc2 / (4 * n)),
-                  r=np.append(1, np.exp(-1j * phi)), u=u, n=n)
+        # (1+a)/2 w + (1-a)/4 log((1+z)/(1-z)): the pair at d = 2
+        n, u, b, s, c, r = 1, 1, spec.a, 1 + spec.a, [], []
+        alpha, k, d = 1, 1 - spec.a, 2
+    else:
+        # poles z^n = e^{ie}, e = +-pi - theta (exact near +-pi), at 1/r_j,
+        # r_j = e^{-2i a_j}, a_j = e/2n + j pi/n; j = 0 is the pair's.  As
+        # n cot(n a_0) = sum_j cot(a_j), and so for n^2/sin^2, alpha = 1/(1+u)
+        # + c_0 d and the r = 1 log's c_0 - n/(4 sin^2(e/2)) are sums over
+        # j >= 1, free of the 1/e in each of their terms
+        n, b, s = spec.n or 1, 0, 1
+        th = math.pi if spec.family == "F0" else spec.theta
+        e = math.copysign(math.pi, th) - th
+        u, psi, k = -cmath.exp(-1j * e), e / n, -cmath.exp(-1j * e / n) / n
+        half = psi / 2 + math.pi * np.arange(1, n) / n
+        cj = 1 / (4 * n * np.sin(half) ** 2)
+        alpha = (n + 1) / (2 * n) - 0.5j / n * np.sum(1 / np.tan(half))
+        d = complex(2 * math.sin(psi / 2) ** 2, math.sin(psi))  # 1 - e^{-i psi}
+        c, r = np.append(-cj.sum(), cj), np.append(1, np.exp(-2j * half))
+    c, r = np.array(c, dtype=complex), np.array(r, dtype=complex)
+    keep = c != 0  # at n = 1 the lone log at r = 1 has coefficient 0
+    roots = np.append(r[keep], 1 - d)
+    sing = np.concatenate(([1 + 0j], 1 / roots[roots != 1]))
+    return TermTable(complex(alpha), complex(k), complex(d), c[keep], r[keep],
+                     s, complex(u), n, b, sing)
 
 
 def singular_points(spec: MappingSpec) -> np.ndarray:

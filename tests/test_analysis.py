@@ -226,14 +226,17 @@ class TestJ:
                 b = eval_J(th, (0.01 + 1e-9) * w)
                 assert abs(a - b) < 1e-7
 
-    @pytest.mark.parametrize("theta", [math.pi - 1e-6, -(math.pi - 1e-6)])
+    @pytest.mark.parametrize("theta", [math.pi - 1e-6, -(math.pi - 1e-6),
+                                       0.3, 2.5])
     def test_near_pi_against_mpmath(self, theta):
         # the definition, with h of F1 (h' = 1/((1+uz)(1-z)^2), h(0) = 0)
-        # and g = z/(1-z) - h at 40 digits
+        # and g = z/(1-z) - h at 80 digits: near pi, at |z| = 1e-12, the
+        # 1/(1+u)^2 coefficients and the O(z^3) odd part of g cancel ~40
+        # digits
         mp = pytest.importorskip("mpmath")
-        z = np.outer([1e-4, 0.0099, 0.0101, 0.1, 0.5, 0.95],
+        z = np.outer([1e-12, 1e-8, 1e-4, 0.0099, 0.0101, 0.1, 0.5, 0.95],
                      np.exp(1j * (0.3 + np.arange(8) * math.pi / 4))).ravel()
-        with mp.workdps(40):
+        with mp.workdps(80):
             u = mp.expj(theta)
 
             def h(w):

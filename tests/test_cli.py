@@ -171,6 +171,21 @@ def test_render_bad_stroke_usage_error(runner, tmp_path):
     assert not out.exists()
 
 
+def test_oracle_checks_values(runner, monkeypatch):
+    # a value error the dilatation cannot see still fails the oracle
+    from harmconv import cli, convolution
+
+    def off(spec, z):
+        return convolution.conv_value(spec, z) + 1e-6
+
+    monkeypatch.setattr(cli, "conv_value", off)
+    res = runner.invoke(main, ["oracle", "--family", "fn", "--n", "2",
+                               "--theta", "pi", "--a", "0.5",
+                               "--samples", "25"])
+    assert res.exit_code == 1
+    assert "max value deviation" in res.output
+
+
 def test_oracle_f0(runner):
     res = runner.invoke(main, ["oracle", "--family", "f0", "--a", "-0.4",
                                "--samples", "25"])

@@ -198,6 +198,32 @@ class TestValues:
             conv_value(spec, 0.9995)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_continuous_through_theta_pi(n):
+    # theta = pi - eps and -pi + eps, eps down to 0 (F0 for n = 1), against
+    # the series route: |w| as the quotient of the series derivatives, and
+    # the values
+    zs = np.array([0.3 + 0.2j, -0.6j, 0.9 * np.exp(0.7j),
+                   0.95 * np.exp(-2.4j), 0.95])
+    for a in (0.5, -0.5):
+        for eps in [10.0 ** -k for k in range(2, 13, 2)] + [0.0]:
+            for theta in (math.pi - eps, -math.pi + eps):
+                if n > 1:
+                    right = make_mapping("Fn", n=n, theta=theta)
+                else:
+                    right = make_mapping("F1", theta=theta) if eps else \
+                        make_mapping("F0")
+                spec = ConvolutionSpec(a, right)
+                H, G = oracle_series(a, right, N=2000)
+                want = np.abs(series_eval(series_derivative(G), zs)
+                              / series_eval(series_derivative(H), zs))
+                got = np.abs(conv_dilatation(spec, zs))
+                assert np.max(np.abs(got - want)) < 1e-9, (a, theta)
+                want = series_eval(H, zs) + np.conj(series_eval(G, zs))
+                got = conv_value(spec, zs)
+                assert np.max(np.abs(got - want)) < 1e-8, (a, theta)
+
+
 F0_SPEC = ConvolutionSpec(0.5, make_mapping("F0"))
 NAN = float("nan")
 
@@ -249,6 +275,10 @@ NAN = float("nan")
     (lambda: default_grid(max_radius="0.9"), ParameterError),
     (lambda: J_boundary(0.3, "1"), ParameterError),
     (lambda: eval_B(0.3, "0.5", 0.5), ParameterError),
+    (lambda: conv_dilatation(F0_SPEC, "0.5"), ParameterError),
+    (lambda: li2("x"), ParameterError),
+    (lambda: eval_J(0.3, "z"), ParameterError),
+    (lambda: conv_value(F0_SPEC, [0.1, "a"]), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -261,7 +291,8 @@ NAN = float("nan")
         "spec-a-bool", "theta-string", "fa-a-complex", "radius-tol-string",
         "grid-radius-string", "grid-radii-none", "figure-max-radius-string",
         "render-stroke-width-string", "default-grid-max-radius-string",
-        "J-boundary-t-string", "B-a-string"])
+        "J-boundary-t-string", "B-a-string", "dilatation-z-string",
+        "li2-string", "J-z-string", "value-z-mixed-string"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
