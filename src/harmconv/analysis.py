@@ -10,8 +10,6 @@ maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no zeros
 import cmath
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -222,18 +220,11 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     Nodes where the denominator vanishes are listed as critical points and
     excluded from the max/violation statistics.  GridSpec keeps every node
     within |z| <= 0.999, clear of the unit-circle singularities, so the
-    report's ``skipped`` count is always 0.  Set HARMCONV_THREADS to spread
-    the radii over a thread pool; the report is identical either way.
+    report's ``skipped`` count is always 0.
     """
     K = grid.angles_count
     ring = np.exp(2j * math.pi * np.arange(K) / K)
-    try:
-        threads = max(1, int(os.environ.get("HARMCONV_THREADS", "1")))
-    except ValueError:
-        raise ParameterError("HARMCONV_THREADS must be an integer") from None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # map keeps the order of the radii
-        scanned = list(pool.map(lambda r: _scan_row(spec, r, ring), grid.radii))
+    scanned = [_scan_row(spec, r, ring) for r in grid.radii]
     criticals = [w for _, crit in scanned for w in crit]
     M = np.concatenate([mod for mod, _ in scanned])
     valid = ~np.isnan(M)

@@ -115,10 +115,7 @@ def table(which, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
 def check(family, a, n, theta, radii, angles, fmt):
-    """Scan |dilatation| of the convolution over a disk grid.
-
-    Set HARMCONV_THREADS to parallelize the scan.
-    """
+    """Scan |dilatation| of the convolution over a disk grid."""
     spec = _conv_spec(family, n, theta, a)
     report = scan_dilatation(spec, default_grid(radii, angles))
     if fmt == "json":

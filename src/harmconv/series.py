@@ -6,11 +6,13 @@ series, root-of-unity recurrences), never from numerical differentiation,
 so the series route stays independent of the pointwise evaluators it is
 used to check.
 """
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import finish, prepare, theta_is_pi
+from ._core import finish, prepare
 from .errors import ParameterError
 from .mappings import MappingSpec
 
@@ -44,7 +46,8 @@ def _fa_coeffs(a, N):
 
 def _fn_coeffs(n, theta, N):
     # h' = 1/((1+u z^n)(1-z)^2)  =>  hp[m] = (m+1) - u*hp[m-n]; gp = u * shifted hp
-    u = -1.0 + 0j if theta_is_pi(theta) else complex(np.exp(1j * theta))
+    # u = e^{i theta} as -e^{-ie}, e = +-pi - theta exact near +-pi (as term_table)
+    u = -cmath.exp(-1j * (math.copysign(math.pi, theta) - theta))
     hp = np.zeros(N, dtype=complex)
     gp = np.zeros(N, dtype=complex)
     for m in range(N):

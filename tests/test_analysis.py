@@ -124,21 +124,6 @@ class TestScan:
         hits = [m for z, m in rep.violations if abs(z - node) < 1e-9]
         assert hits and hits[0] == pytest.approx(1.09957, abs=1e-4)
 
-    def test_threaded_scan_is_identical(self, monkeypatch):
-        spec = ConvolutionSpec(-0.2, make_mapping("Fn", n=3, theta=math.pi))
-        grid = default_grid(24, 180)
-        base = scan_dilatation(spec, grid)
-        monkeypatch.setenv("HARMCONV_THREADS", "4")
-        threaded = scan_dilatation(spec, grid)
-        assert threaded.to_json() == base.to_json()
-
-    @pytest.mark.parametrize("threads", ["2.5", "x"])
-    def test_non_integer_threads_rejected(self, monkeypatch, threads):
-        monkeypatch.setenv("HARMCONV_THREADS", threads)
-        spec = ConvolutionSpec(0.5, make_mapping("F0"))
-        with pytest.raises(ParameterError):
-            scan_dilatation(spec, default_grid(2, 8))
-
     def test_report_json_round_trip(self):
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
         rep = scan_dilatation(spec, GridSpec((0.9, 0.99), 90))

@@ -127,15 +127,6 @@ def test_radius_bad_tol_usage_error(runner, tol):
     assert "tol must lie in" in res.output
 
 
-@pytest.mark.parametrize("threads", ["2.5", "x"])
-def test_check_bad_threads_usage_error(runner, monkeypatch, threads):
-    monkeypatch.setenv("HARMCONV_THREADS", threads)
-    res = runner.invoke(main, ["check", "--family", "f1", "--theta", "pi/6",
-                               "--a", "0.5", "--radii", "2", "--angles", "8"])
-    assert res.exit_code == 2
-    assert "HARMCONV_THREADS" in res.output
-
-
 def test_render_writes_svg(runner, tmp_path):
     out = tmp_path / "fig.svg"
     res = runner.invoke(main, [

@@ -154,6 +154,17 @@ class TestValues:
         want = series_eval(H, z) + np.conj(series_eval(G, z))
         assert conv_value(spec, z) == pytest.approx(want, abs=1e-12)
 
+    def test_f1_near_pi_against_series(self):
+        # the series takes e^{i theta} as exactly as the closed form does,
+        # so the two agree to rounding this close to theta = pi
+        a, th = 0.5, math.pi - 5e-13
+        right = make_mapping("F1", theta=th)
+        H, G = oracle_series(a, right, N=400)
+        z = 0.6 * np.exp(2j * math.pi * np.arange(9) / 9)
+        want = series_eval(H, z) + np.conj(series_eval(G, z))
+        got = conv_value(ConvolutionSpec(a, right), z)
+        assert np.max(np.abs(got - want)) < 1e-13
+
     def test_real_axis_symmetry(self):
         spec = ConvolutionSpec(0.0, make_mapping("F1", theta=0.0))
         x = np.linspace(-0.7, 0.7, 15).astype(complex)

@@ -2,11 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from harmconv import DomainError, li2
 from harmconv.special import log_principal
 
 PI2_6 = math.pi ** 2 / 6
+SETTINGS = settings(max_examples=200, deadline=None, database=None)
+
+
+def polar(r, t):
+    return r * complex(math.cos(t), math.sin(t))
+
+
+def max_rel_error(z):
+    """Largest relative error of li2 against 40-digit mpmath on z."""
+    mp = pytest.importorskip("mpmath")
+    got = li2(z)
+    with mp.workdps(40):
+        return max(float(abs(mp.mpc(g) - ref) / abs(ref)) for g, ref in
+                   zip(got, (mp.polylog(2, mp.mpc(w)) for w in z)))
 
 
 def test_log_principal_branch_convention():
@@ -91,3 +106,50 @@ def test_li2_region_seams_are_continuous():
         lo = li2(z0 - d)
         hi = li2(z0 + d)
         assert abs(lo - hi) < 1e-7
+
+
+def test_li2_relative_accuracy_at_tiny_and_subnormal_z():
+    rng = np.random.default_rng(11)
+    k = np.linspace(1, 300, 300)
+    z = 10.0 ** -k * np.exp(2j * math.pi * rng.uniform(size=k.size))
+    z = np.concatenate([z, [1.2e-313 + 1.87e-313j, 5e-324, -5e-324j,
+                            2.2e-308 - 1e-320j]])
+    assert max_rel_error(z) <= 1e-15
+
+
+def test_li2_relative_accuracy_near_one_and_across_the_seam():
+    rng = np.random.default_rng(12)
+    d = np.logspace(-16, -1, 100)
+    near_one = np.concatenate([
+        1 - d * np.exp(1j * rng.uniform(-1.5, 1.5, size=d.size)),
+        np.exp(1j * d), (1 - d) * np.exp(-1j * d), [1.0]])
+    y = rng.uniform(-math.sqrt(0.75), math.sqrt(0.75), size=50)
+    half = np.full(y.size, 0.5)
+    seam = np.concatenate([np.nextafter(half, 0) + 1j * y, half + 1j * y,
+                           np.nextafter(half, 1) + 1j * y,
+                           [np.exp(1j * math.pi / 3), np.exp(-1j * math.pi / 3)]])
+    assert max_rel_error(near_one) <= 1e-15
+    assert max_rel_error(seam) <= 1e-15
+
+
+@SETTINGS
+@given(r=st.floats(0, 1), t=st.floats(-math.pi, math.pi))
+def test_li2_landen_identity_on_the_closed_left_half_disk(r, t):
+    # Re z <= 1/2 on the closed disk keeps z/(z-1) in the disk; a point
+    # right of it is mirrored in the imaginary axis
+    z = polar(r, t)
+    if z.real > 0.5:
+        z = -z.conjugate()
+    lhs = li2(z) + li2(z / (z - 1)) + 0.5 * np.log(1 - z) ** 2
+    assert abs(lhs) < 1e-14
+
+
+@SETTINGS
+@given(r=st.floats(1e-300, 1), t=st.floats(-math.pi / 3, math.pi / 3))
+def test_li2_reflection_identity(r, t):
+    # |t| <= pi/3 keeps 1 - z in the disk too; with z <-> 1 - z this
+    # covers every z where both sides are evaluated on the disk
+    z = polar(r, t)
+    assume(z != 1)
+    rhs = PI2_6 - np.log(z) * np.log(1 - z)
+    assert abs(li2(z) + li2(1 - z) - rhs) < 1e-14
