@@ -33,8 +33,8 @@ class Poly:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or len(c) == 0:
-            raise ParameterError("coeffs must be a non-empty 1-d sequence")
+        if c.ndim != 1 or len(c) == 0 or not np.isfinite(c).all():
+            raise ParameterError("coeffs must be finite, 1-d and non-empty")
         last = len(c)
         while last > 1 and c[last - 1] == 0:
             last -= 1

@@ -1,10 +1,10 @@
 """Truncated Taylor-series arithmetic.
 
 Coefficients live in plain numpy arrays indexed by power.  Mapping
-coefficients come from closed-form expansions (geometric and logarithm
-series, root-of-unity recurrences), never from numerical differentiation,
-so the series route stays independent of the pointwise evaluators it is
-used to check.
+coefficients come from the shear construction alone (Clunie and
+Sheil-Small): h + g = s z/(1-z) and g' = omega h', solved by formal
+division.  No term table, logarithm or dilogarithm enters, so the series
+route stays independent of the pointwise evaluators it is used to check.
 """
 import cmath
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import finish, prepare
+from ._core import finish, positive_int, prepare
 from .errors import ParameterError
 from .mappings import MappingSpec
 
@@ -23,60 +23,38 @@ class TruncatedSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
-            raise ParameterError("coeffs must be a non-empty 1-d sequence")
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.ndim != 1 or len(c) == 0 or not np.isfinite(c).all():
+            raise ParameterError("coeffs must be finite, 1-d and non-empty")
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
 
-def _fa_coeffs(a, N):
-    # h = (1+a)/2 * z/(1-z) + (1-a)/4 * log((1+z)/(1-z)); g flips the log sign
-    h = np.zeros(N + 1, dtype=complex)
-    g = np.zeros(N + 1, dtype=complex)
-    for k in range(1, N + 1):
-        base = (1 + a) / 2
-        odd = (1 - a) / (2 * k) if k % 2 else 0.0
-        h[k] = base + odd
-        g[k] = base - odd
-    return h, g
-
-
-def _fn_coeffs(n, theta, N):
-    # h' = 1/((1+u z^n)(1-z)^2)  =>  hp[m] = (m+1) - u*hp[m-n]; gp = u * shifted hp
-    # u = e^{i theta} as -e^{-ie}, e = +-pi - theta exact near +-pi (as term_table)
-    u = -cmath.exp(-1j * (math.copysign(math.pi, theta) - theta))
-    hp = np.zeros(N, dtype=complex)
-    gp = np.zeros(N, dtype=complex)
-    for m in range(N):
-        hp[m] = (m + 1) - (u * hp[m - n] if m >= n else 0)
-        gp[m] = u * hp[m - n] if m >= n else 0
-    h = np.zeros(N + 1, dtype=complex)
-    g = np.zeros(N + 1, dtype=complex)
-    h[1:] = hp / np.arange(1, N + 1)
-    g[1:] = gp / np.arange(1, N + 1)
-    return h, g
-
-
 def taylor_of_mapping(spec: MappingSpec, N: int):
-    """Taylor coefficients through order N of (h, g) for the given family."""
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    if spec.family == "F0":
-        k = np.arange(N + 1, dtype=float)
-        h = (k + 1) / 2
-        g = -(k - 1) / 2
-        h[0] = 0.0
-        g[:2] = 0.0
-        return TruncatedSeries(h), TruncatedSeries(g)
+    """Taylor coefficients through order N of (h, g) for the given family.
+
+    Each family is the shear of s z/(1-z) along its dilatation omega:
+    s = 1 + a and omega = (z+a)/(1+az) for Fa, s = 1 and omega = e^{i theta}
+    z^n for Fn, with F1 = Fn(1, theta) and F0 = Fn(1, pi).
+    """
+    N = positive_int(N, "N")
+    omega = np.zeros(N + 1, dtype=complex)
     if spec.family == "Fa":
-        h, g = _fa_coeffs(spec.a, N)
-        return TruncatedSeries(h), TruncatedSeries(g)
-    n = 1 if spec.family == "F1" else spec.n
-    h, g = _fn_coeffs(n, spec.theta, N)
-    return TruncatedSeries(h), TruncatedSeries(g)
+        a, s = spec.a, 1 + spec.a
+        omega[0] = a
+        omega[1:] = (1 - a * a) * (-a) ** np.arange(N)
+    else:
+        n, s = spec.n or 1, 1
+        theta = math.pi if spec.family == "F0" else spec.theta
+        # e^{i theta} as -e^{-ie}, e = +-pi - theta exact near +-pi
+        if n <= N:
+            omega[n] = -cmath.exp(-1j * (math.copysign(math.pi, theta) - theta))
+    phi = np.full(N + 1, s, dtype=complex)
+    phi[0] = 0
+    return shear_series(TruncatedSeries(phi), TruncatedSeries(omega))
 
 
 def hadamard(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
@@ -125,8 +103,6 @@ def shear_series(phi: TruncatedSeries, omega: TruncatedSeries):
     """
     if phi.coeffs[0] != 0:
         raise ParameterError("phi must vanish at 0")
-    if omega.coeffs[0] == -1:
-        raise ParameterError("shear degenerate: omega(0) = -1")
     if abs(omega.coeffs[0]) >= 1:
         raise ParameterError("shear requires |omega(0)| < 1")
     N = phi.order

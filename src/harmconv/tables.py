@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from ._core import positive_int
 from .convolution import ConvolutionSpec, conv_dilatation
 from .errors import ParameterError
 from .mappings import make_mapping
@@ -89,6 +90,7 @@ def compute_row(row: TableRow) -> dict:
 
 def compute_table(which: int):
     """Recompute a whole bundled table (1: angle pi, 2: general angles)."""
+    which = positive_int(which, "table")
     if which not in (1, 2):
         raise ParameterError(f"table must be 1 or 2, got {which!r}")
     rows = THETA_PI_ROWS if which == 1 else GENERAL_ROWS

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
-                      J_boundary, ParameterError, compute_table,
-                      conv_derivatives, conv_dilatation, conv_dilatation_f0,
-                      conv_parts_f1, conv_value, default_grid, dilatation,
-                      eval_B, eval_h, eval_J, hadamard, li2, make_mapping,
-                      render_webbing, series_derivative, series_div,
-                      series_eval, taylor_of_mapping, univalency_radius)
+                      J_boundary, ParameterError, Poly, TruncatedSeries,
+                      compute_table, conv_derivatives, conv_dilatation,
+                      conv_dilatation_f0, conv_parts_f1, conv_value,
+                      default_grid, dilatation, eval_B, eval_h, eval_J,
+                      hadamard, li2, make_mapping, render_webbing,
+                      series_derivative, series_div, series_eval,
+                      taylor_of_mapping, univalency_radius)
 from harmconv.special import log_principal
 
 RNG = np.random.default_rng(31)
@@ -290,6 +291,14 @@ NAN = float("nan")
     (lambda: li2("x"), ParameterError),
     (lambda: eval_J(0.3, "z"), ParameterError),
     (lambda: conv_value(F0_SPEC, [0.1, "a"]), ParameterError),
+    (lambda: taylor_of_mapping(make_mapping("F0"), True), ParameterError),
+    (lambda: taylor_of_mapping(make_mapping("F0"), 2.5), ParameterError),
+    (lambda: taylor_of_mapping(make_mapping("F0"), NAN), ParameterError),
+    (lambda: Poly([NAN, 1]), ParameterError),
+    (lambda: Poly([1, math.inf]), ParameterError),
+    (lambda: TruncatedSeries([0, NAN]), ParameterError),
+    (lambda: compute_table(True), ParameterError),
+    (lambda: compute_table(1.0), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -303,7 +312,9 @@ NAN = float("nan")
         "grid-radius-string", "grid-radii-none", "figure-max-radius-string",
         "render-stroke-width-string", "default-grid-max-radius-string",
         "J-boundary-t-string", "B-a-string", "dilatation-z-string",
-        "li2-string", "J-z-string", "value-z-mixed-string"])
+        "li2-string", "J-z-string", "value-z-mixed-string", "series-N-bool",
+        "series-N-float", "series-N-nan", "poly-nan", "poly-inf",
+        "series-coeff-nan", "table-bool", "table-float"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

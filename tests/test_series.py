@@ -89,9 +89,11 @@ def test_shear_recovers_f0():
     N = 40
     omega = TruncatedSeries(np.concatenate([[0, -1], np.zeros(N - 1)]))
     h, g = shear_series(geom(N), omega)
-    h0, g0 = taylor_of_mapping(make_mapping("F0"), N)
-    assert np.max(np.abs(h.coeffs - h0.coeffs)) < 1e-12
-    assert np.max(np.abs(g.coeffs - g0.coeffs)) < 1e-12
+    # closed form: h_k = (k+1)/2 and g_k = -(k-1)/2 for k >= 1
+    k = np.arange(1, N + 1)
+    assert h.coeffs[0] == 0 and g.coeffs[0] == 0
+    assert np.max(np.abs(h.coeffs[1:] - (k + 1) / 2)) < 1e-12
+    assert np.max(np.abs(g.coeffs[1:] + (k - 1) / 2)) < 1e-12
 
 
 def test_shear_recovers_fa():
@@ -104,9 +106,12 @@ def test_shear_recovers_fa():
     for k in range(1, N + 1):
         omega_c[k] = (1 - a * a) * (-a) ** (k - 1)
     h, g = shear_series(phi, TruncatedSeries(omega_c))
-    ha, ga = taylor_of_mapping(make_mapping("Fa", a=a), N)
-    assert np.max(np.abs(h.coeffs - ha.coeffs)) < 1e-12
-    assert np.max(np.abs(g.coeffs - ga.coeffs)) < 1e-12
+    # closed form: (1+a)/2 +- (1-a)/(2k) for odd k, (1+a)/2 for even k
+    k = np.arange(1, N + 1)
+    odd = np.where(k % 2, (1 - a) / (2 * k), 0.0)
+    assert h.coeffs[0] == 0 and g.coeffs[0] == 0
+    assert np.max(np.abs(h.coeffs[1:] - ((1 + a) / 2 + odd))) < 1e-12
+    assert np.max(np.abs(g.coeffs[1:] - ((1 + a) / 2 - odd))) < 1e-12
 
 
 def test_shear_zero_dilatation():
@@ -149,9 +154,12 @@ def test_taylor_matches_closed_forms():
     z = 0.7 * np.sqrt(rng.uniform(size=30)) * np.exp(
         2j * math.pi * rng.uniform(size=30))
     for spec in (make_mapping("F0"), make_mapping("Fa", a=0.25),
+                 make_mapping("Fa", a=-0.9),
                  make_mapping("F1", theta=-1.1),
+                 make_mapping("F1", theta=math.pi - 5e-13),
                  make_mapping("Fn", n=6, theta=math.pi),
-                 make_mapping("Fn", n=4, theta=2.0)):
+                 make_mapping("Fn", n=4, theta=2.0),
+                 make_mapping("Fn", n=3, theta=math.pi - 1e-9)):
         h, g = taylor_of_mapping(spec, 256)
         dh = np.abs(series_eval(h, z) - eval_h(spec, z))
         dg = np.abs(series_eval(g, z) - eval_g(spec, z))
