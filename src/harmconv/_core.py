@@ -59,7 +59,3 @@ def norm_theta(theta):
     if t <= -math.pi:
         t = math.pi
     return t
-
-
-def theta_is_pi(theta, tol=1e-12):
-    return abs(abs(norm_theta(theta)) - math.pi) < tol

@@ -1,6 +1,6 @@
 """Univalency decision machinery.
 
-Contains the Schur-Cohn style zero counter used for the F0 convolution,
+Contains a Schur-Cohn zero counter for polynomials in the unit disk,
 grid scans of convolution dilatations with violation reporting, the
 auxiliary boundary function J with its piecewise boundary analysis, and the
 univalency radius by a safeguarded regula falsi on the log of the circle
@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._core import (CRITICAL_TOL, check_a, finish, norm_theta,
-                    positive_int, prepare, real, theta_is_pi)
+                    positive_int, prepare, real)
 from .convolution import ConvolutionSpec, _odd_guard, conv_derivatives
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
@@ -35,11 +35,8 @@ class Poly:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or len(c) == 0 or not np.isfinite(c).all():
             raise ParameterError("coeffs must be finite, 1-d and non-empty")
-        last = len(c)
-        while last > 1 and c[last - 1] == 0:
-            last -= 1
-        c = c[:last]
-        if len(c) == 1 and c[0] == 0:
+        c = np.trim_zeros(c, "b")
+        if len(c) == 0:
             raise ParameterError("the zero polynomial has no defined degree")
         object.__setattr__(self, "coeffs", c)
 
@@ -296,7 +293,7 @@ def J_boundary(theta, t) -> JBoundaryResult:
     """Re J(e^{it}) via the piecewise argument analysis, plus limits at the
     four exceptional angles."""
     th = norm_theta(theta)
-    if theta_is_pi(th):
+    if abs(abs(th) - math.pi) < 1e-12:
         raise ParameterError("J_boundary is undefined at theta = pi")
     if not math.isfinite(real(t, "t")):
         raise ParameterError(f"t must be a finite number, got {t!r}")

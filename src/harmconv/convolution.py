@@ -27,9 +27,10 @@ class ConvolutionSpec:
 
     def __post_init__(self):
         check_a(self.a)
-        if self.right.family not in ("F0", "F1", "Fn"):
+        if (not isinstance(self.right, MappingSpec)
+                or self.right.family not in ("F0", "F1", "Fn")):
             raise ParameterError(
-                f"right factor must be F0, F1 or Fn, got {self.right.family}")
+                f"right factor must be an F0, F1 or Fn MappingSpec, got {self.right!r}")
 
 
 def conv_dilatation_f0(a, z):

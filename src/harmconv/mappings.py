@@ -37,37 +37,39 @@ from ._core import (SINGULARITY_GUARD, check_a, finish, norm_theta,
 from .errors import DomainError, ParameterError, SingularityError
 from .special import li2
 
-# the parameters each family takes
+# the parameters each family takes, and the check of each
 _PARAMETERS = {"F0": (), "Fa": ("a",), "F1": ("theta",), "Fn": ("theta", "n")}
+_CHECKS = dict(a=check_a, theta=norm_theta, n=lambda n: positive_int(n, "Fn's n"))
 FAMILIES = tuple(_PARAMETERS)
 
 
 @dataclass(frozen=True)
 class MappingSpec:
-    """Validated descriptor of one mapping family; build via make_mapping."""
+    """A mapping family and its parameters, checked on construction:
+    ParameterError for an unknown family, a missing or out-of-range parameter
+    or F1 at theta = pi (use F0 = Fn(1, pi)).  Parameters the family does
+    not take become None and theta is reduced to (-pi, pi]."""
     family: str
     a: Optional[float] = None
     theta: Optional[float] = None
     n: Optional[int] = None
 
+    def __post_init__(self):
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
+            raise ParameterError(
+                f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        need = _PARAMETERS[self.family]
+        for name, check in _CHECKS.items():
+            value = check(getattr(self, name)) if name in need else None
+            object.__setattr__(self, name, value)
+        if self.family == "F1" and self.theta == math.pi:
+            raise ParameterError(
+                "F1 excludes theta = pi; use Fn with n=1, theta=pi (F0) instead")
+
 
 def make_mapping(family, a=None, theta=None, n=None) -> MappingSpec:
-    """Validate parameters and construct a MappingSpec.  ParameterError for
-    missing or out-of-range parameters; F1 at theta = pi, outside the
-    family's definition, is rejected with a pointer to Fn(n=1, theta=pi),
-    which is F0."""
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    need = _PARAMETERS[family]
-    spec = MappingSpec(
-        family,
-        a=check_a(a) if "a" in need else None,
-        theta=norm_theta(theta) if "theta" in need else None,
-        n=positive_int(n, "Fn's n") if "n" in need else None)
-    if family == "F1" and spec.theta == math.pi:
-        raise ParameterError(
-            "F1 excludes theta = pi; use Fn with n=1, theta=pi (F0) instead")
-    return spec
+    """The MappingSpec of a family with these parameters."""
+    return MappingSpec(family, a, theta, n)
 
 
 class TermTable(NamedTuple):

@@ -83,9 +83,9 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
         "<!-- dropped samples: 0 -->",
         f'<g fill="none" stroke="{stroke}" stroke-width="{_FMT % sw}">',
     ]
+    point = f"{_FMT},{_FMT}".__mod__
     for c in curves:
-        pts = " ".join(
-            f"{_FMT % v.real},{_FMT % (-v.imag)}" for v in c)
+        pts = " ".join(map(point, zip(c.real, -c.imag)))
         lines.append(f'<polyline points="{pts}"/>')
     lines.append("</g>")
     lines.append("</svg>")

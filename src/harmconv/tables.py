@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ._core import positive_int
+from ._core import positive_int, real
 from .convolution import ConvolutionSpec, conv_dilatation
 from .errors import ParameterError
 from .mappings import make_mapping
@@ -65,8 +65,12 @@ GENERAL_ROWS = (
 
 
 def angle_value(frac: Tuple[int, int]) -> float:
+    """num/den of pi, for a real num and a positive integer den."""
+    if not isinstance(frac, (tuple, list)) or len(frac) != 2:
+        raise ParameterError(f"angle must be a (num, den) pair, got {frac!r}")
     num, den = frac
-    return math.pi * num / den
+    return math.pi * real(num, "angle numerator") / positive_int(
+        den, "angle denominator")
 
 
 def compute_row(row: TableRow) -> dict:

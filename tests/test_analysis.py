@@ -203,7 +203,8 @@ class TestJ:
         assert eval_J(0.4, 1e-6) == pytest.approx(2.0, abs=1e-4)
 
     def test_series_seam_continuous(self):
-        # straddle the series/direct routing boundary by a hair
+        # J is continuous in |z|: values a hair either side of |z| = 0.01
+        # must agree
         for th in (0.0, 0.9, -2.0):
             for ph in (0.0, 2.0):
                 w = np.exp(1j * ph)

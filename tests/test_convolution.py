@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
-                      J_boundary, ParameterError, Poly, TruncatedSeries,
-                      compute_table, conv_derivatives, conv_dilatation,
+                      J_boundary, MappingSpec, ParameterError, Poly, TableRow,
+                      TruncatedSeries, compute_row, compute_table,
+                      conv_derivatives, conv_dilatation,
                       conv_dilatation_f0, conv_parts_f1, conv_value,
                       default_grid, dilatation, eval_B, eval_h, eval_J,
                       hadamard, li2, make_mapping, render_webbing,
@@ -299,6 +300,18 @@ NAN = float("nan")
     (lambda: TruncatedSeries([0, NAN]), ParameterError),
     (lambda: compute_table(True), ParameterError),
     (lambda: compute_table(1.0), ParameterError),
+    (lambda: MappingSpec("Fn", theta=NAN, n=2), ParameterError),
+    (lambda: MappingSpec("Fx"), ParameterError),
+    (lambda: MappingSpec(np.array(["F0", "F1"])), ParameterError),
+    (lambda: MappingSpec("Fa", a=2.0), ParameterError),
+    (lambda: MappingSpec("Fn", theta=1.0, n=0), ParameterError),
+    (lambda: MappingSpec("Fn", theta=1.0, n=2.5), ParameterError),
+    (lambda: MappingSpec("Fn", theta=1.0, n=True), ParameterError),
+    (lambda: MappingSpec("F1", theta=math.pi), ParameterError),
+    (lambda: ConvolutionSpec(0.5, "F0"), ParameterError),
+    (lambda: compute_row(TableRow(2, 0.5, (1, 0), (1, 3), 1.0)),
+     ParameterError),
+    (lambda: compute_row(TableRow(2, 0.5, "pi", (1, 3), 1.0)), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -314,7 +327,10 @@ NAN = float("nan")
         "J-boundary-t-string", "B-a-string", "dilatation-z-string",
         "li2-string", "J-z-string", "value-z-mixed-string", "series-N-bool",
         "series-N-float", "series-N-nan", "poly-nan", "poly-inf",
-        "series-coeff-nan", "table-bool", "table-float"])
+        "series-coeff-nan", "table-bool", "table-float", "spec-theta-nan",
+        "spec-family-unknown", "spec-family-array", "spec-a-out-of-range",
+        "spec-n-zero", "spec-n-float", "spec-n-bool", "spec-f1-at-pi",
+        "conv-right-string", "row-den-zero", "row-theta-string"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

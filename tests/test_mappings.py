@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from harmconv import (DomainError, ParameterError, SingularityError,
-                      dilatation, eval_f, eval_g, eval_g_prime, eval_h,
-                      eval_h_prime, make_mapping, singular_points)
+from harmconv import (DomainError, MappingSpec, ParameterError,
+                      SingularityError, dilatation, eval_f, eval_g,
+                      eval_g_prime, eval_h, eval_h_prime, make_mapping,
+                      singular_points)
+from harmconv.mappings import term_table
 
 RNG = np.random.default_rng(21)
 
@@ -54,6 +56,21 @@ class TestMakeMapping:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             make_mapping("F9")
+
+    @pytest.mark.parametrize("family,params", [
+        ("F1", dict(theta=0.3 + 2 * math.pi)),
+        ("Fn", dict(theta=-1.0 - 4 * math.pi, n=3)),
+        ("F1", dict(theta=0.3, n=5, a=0.2)),
+        ("F0", dict(a=0.5, theta=1.0, n=2)),
+        ("Fa", dict(a=0.2, theta=0.3, n=5)),
+    ], ids=["f1-theta-plus-2pi", "fn-theta-minus-4pi", "f1-extra-params",
+            "f0-extra-params", "fa-extra-params"])
+    def test_spec_equals_make_mapping(self, family, params):
+        # one construction path: theta is reduced and the parameters the
+        # family does not take are dropped, so both share one term table
+        spec, made = MappingSpec(family, **params), make_mapping(family, **params)
+        assert spec == made and hash(spec) == hash(made)
+        assert term_table(spec) is term_table(made)
 
 
 def test_h0_hand_value():
