@@ -17,7 +17,8 @@ import numpy as np
 
 from ._core import (CRITICAL_TOL, check_a, finish, norm_theta,
                     positive_int, prepare, real)
-from .convolution import ConvolutionSpec, _odd_guard, conv_derivatives
+from .convolution import (ConvolutionSpec, _derivatives, _odd_guard,
+                          conv_derivatives)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import make_mapping, term_table
@@ -201,9 +202,12 @@ class UnivalencyReport:
 
 def _scan_row(spec, r, ring):
     """Moduli of the dilatation on the circle |z| = r, nan at a critical
-    node, and the critical nodes."""
+    node, and the critical nodes.  ring holds K equispaced unit nodes in
+    angular order, so Fn's orbit takes n/gcd(n, K) logs per node; r <=
+    0.999 keeps the nodes clear of the unit-circle singularities."""
     z = r * ring
-    Hp, Gp = conv_derivatives(spec, z)
+    t = term_table(spec.right)
+    Hp, Gp = _derivatives(spec.a, t, z, math.gcd(t.n, len(z)))
     crit = np.abs(Hp) <= CRITICAL_TOL
     mod = np.full(len(ring), np.nan)
     mod[~crit] = np.abs(Gp[~crit] / Hp[~crit])
@@ -342,11 +346,16 @@ def J_boundary(theta, t) -> JBoundaryResult:
 
 def _circle_max(spec, r):
     """max |Gp/Hp| on |z| = r, inf at a critical node: each local maximum of
-    a 1440-node ring is refined by four 33-point zooms, each 16x narrower."""
+    a 1440-node ring is refined by four 33-point zooms, each 16x narrower.
+    A ring that already reaches 1 is returned unrefined: a sample is a lower
+    bound of the maximum, so the circle fails the search's test either way."""
     step = 2 * math.pi / 1440
     mod, crit = _scan_row(spec, r, np.exp(1j * step * np.arange(1440)))
     if crit:
         return math.inf
+    top = np.max(mod)
+    if top >= 1:
+        return float(top)
     t = step * np.flatnonzero((mod >= np.roll(mod, 1)) & (mod > np.roll(mod, -1)))
     for k in range(4):
         # the middle point of each zoom is the best point of the last one
@@ -354,7 +363,7 @@ def _circle_max(spec, r):
         Hp, Gp = conv_derivatives(spec, r * np.exp(1j * ts))
         m = np.abs(Gp / Hp)
         t = ts[np.arange(len(t)), np.argmax(m, axis=1)]
-    return float(np.max(m, initial=np.max(mod)))
+    return float(np.max(m, initial=top))
 
 
 def _log_or_nan(m):
@@ -371,7 +380,8 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     modulus principle, and unbounded toward a zero of Hp.  The search keeps
     a bracket [lo, hi] of [0, 0.999] with "no critical node and M < 1" at
     lo and not at hi, and narrows it by Illinois regula falsi on log M(r),
-    each probe at least tol/2 inside the bracket.  It bisects instead while
+    each probe at least tol/2 inside the bracket; a circle whose sampled
+    ring already reaches 1 gives its sample for M.  It bisects instead while
     log M is not finite at an end (M(0) is never computed) and whenever the
     bracket has fallen behind one halving per two probes, so it needs at
     most about twice the circles of a plain bisection: 43 against 21 at

@@ -84,12 +84,18 @@ def conv_derivatives(spec: ConvolutionSpec, z):
     arr, scalar = prepare(z)
     t = term_table(spec.right)
     _odd_guard(t, arr)
-    a = spec.a
-    hp, gp = t.primes(arr)
-    rh, rg = t.odd_rests(arr)  # D_h = 2 + z^2 rh, D_g = 2(s-1) + z^2 rg
-    Hp = (1 - a) / 4 * (2 + arr * arr * rh) + (1 + a) / 2 * hp
-    Gp = -(1 - a) / 4 * (2 * (t.s - 1) + arr * arr * rg) + (1 + a) / 2 * gp
+    Hp, Gp = _derivatives(spec.a, t, arr)
     return finish(Hp, scalar), finish(Gp, scalar)
+
+
+def _derivatives(a, t, z, g=1):
+    """(Hp, Gp) at the points z for the right factor's table t, unguarded;
+    g > 1 only for a ring of nodes (see ``TermTable.odd_rests``)."""
+    hp, gp = t.primes(z)
+    rh, rg = t.odd_rests(z, g)  # D_h = 2 + z^2 rh, D_g = 2(s-1) + z^2 rg
+    Hp = (1 - a) / 4 * (2 + z * z * rh) + (1 + a) / 2 * hp
+    Gp = -(1 - a) / 4 * (2 * (t.s - 1) + z * z * rg) + (1 + a) / 2 * gp
+    return Hp, Gp
 
 
 def conv_dilatation(spec: ConvolutionSpec, z):

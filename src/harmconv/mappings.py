@@ -19,10 +19,13 @@ w = z/(1-z), phi(x) = (x - log1p x)/x^2 and v = u z^n,
 and the dilatation is (v + b)/(1 + b v).  The phi term is a pair of logs,
 c log((1 - (1-d) z)/(1 - z)) = c log1p(d w), less c d w, which alpha holds;
 for Fn, 1 - d is the root nearest 1 and k = c d^2 stays bounded as theta
--> +-pi, where c grows like 1/d^2; at theta = pi, d = 0.  The singular
-points, 1 and the reciprocals of the roots, lie on the unit circle.  The
-evaluators accept scalars or numpy arrays of points in the open unit disk
-and refuse points within 1e-9 of a singularity.
+-> +-pi, where c grows like 1/d^2; at theta = pi, d = 0.  Fn's lone roots
+are r = 1 plus one orbit, (1-d) zeta^j with zeta = e^{-2 pi i/n}, j = 1..n-1,
+the turns of the pair's root; on a ring of K equispaced nodes the orbit's
+logs fall into n/gcd(n, K) rotation classes (``TermTable.odd_rests``).  The
+singular points, 1 and the reciprocals of the roots, lie on the unit circle.
+The evaluators accept scalars or numpy arrays of points in the open unit
+disk and refuse points within 1e-9 of a singularity.
 """
 import cmath
 import math
@@ -78,7 +81,7 @@ class TermTable(NamedTuple):
     k: complex        # pair weight c d^2
     d: complex        # 1 - r for the pair's root r
     c: np.ndarray     # lone-log coefficients c_j
-    r: np.ndarray     # lone-log roots r_j
+    r: np.ndarray     # lone-log roots r_j: for n > 1, 1 and then the orbit
     s: float          # h + g = s z/(1-z)
     u: complex
     n: int
@@ -100,20 +103,39 @@ class TermTable(NamedTuple):
         q = 1 / ((1 + w) * (1 - z) ** 2)
         return (1 + self.b * w) * q, (w + self.b) * q
 
-    def odd_rests(self, z):
+    def odd_rests(self, z, g=1):
         """(R_h, R_g) with (h(z) - h(-z))/z = 2 + z^2 R_h and (g(z) -
         g(-z))/z = 2(s-1) + z^2 R_g, each summed from its own terms' rests:
         2 alpha/(1-z^2) for w, -2cr^3 E(rz) per lone log and 2k/m (d E(-dz/m)
         /m^2 - 1/(1-z^2)) for the pair, m = 1 - (1-d) z^2, with E(y) =
-        (atanh(y)/y - 1)/y^2."""
+        (atanh(y)/y - 1)/y^2.
+
+        The lone logs are r = 1 and the orbit r_j = (1-d) zeta^j, zeta =
+        e^{-2 pi i/n}, j = 1..n-1 (j = 0 is the pair's root).  When g > 1
+        divides n and K = len(z), and z is a ring z_0 e^{2 pi i k/K}, k < K,
+        the terms j = c + t n/g, t < g, of a class c < n/g share one E:
+        r_j z_k = r_c z_(k - tK/g), so term j reads its class's E rotated by
+        tK/g nodes.  With the nodes as g rows of K/g, that is one g x g
+        circulant of the class's weights, and the orbit costs n/g logs per
+        node, not n - 1.  g = 1 takes any z.
+        """
         z2 = z * z
         q = 1 / (1 - z2)
         m = 1 - (1 - self.d) * z2
         # the pair; d = 0, at theta = pi, zeroes its atanh rest
         e = self.d * _atanh_rest(-self.d * z / m) / (m * m) if self.d else 0
         logs = 2 * self.k / m * (e - q)
-        for c, r in zip(self.c, self.r):
-            logs = logs - 2 * c * r ** 3 * _atanh_rest(r * z)
+        if self.n > 1:  # the lone logs, at r = 1 and on the orbit
+            logs = logs - 2 * self.c[0] * _atanh_rest(z)
+            # the orbit's weights and roots, j = 0..n-1 as [t, c]; j = 0 is
+            # the pair's root, weight 0, so at g = 1 its class is skipped
+            w = np.append(0, 2 * self.c[1:] * self.r[1:] ** 3).reshape(g, -1)
+            roots = np.append(1 - self.d, self.r[1:])
+            turn = np.subtract.outer(np.arange(g), np.arange(g)) % g
+            circulants = w.T[:, turn]  # [c, p, s] = w[(p - s) mod g, c]
+            for c in np.flatnonzero(w.any(axis=0)):
+                rest = _atanh_rest(roots[c] * z).reshape(g, -1)
+                logs = logs - (circulants[c] @ rest).reshape(np.shape(z))
         return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
 
     def odd_integrals(self, z):

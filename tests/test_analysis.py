@@ -6,10 +6,14 @@ import pytest
 
 from harmconv import (BoundaryDegenerateError, CohnInapplicableError,
                       ConvolutionSpec, DomainError, GridSpec, J_boundary,
-                      ParameterError, Poly, UnivalencyReport, cohn_reduce,
-                      conv_derivatives, default_grid, eval_B, eval_J, eval_g,
-                      eval_g_prime, eval_h, eval_h_prime, make_mapping,
-                      scan_dilatation, univalency_radius, zeros_in_unit_disk)
+                      ParameterError, Poly, UnivalencyReport, analysis,
+                      cohn_reduce, conv_derivatives, default_grid, eval_B,
+                      eval_J, eval_g, eval_g_prime, eval_h, eval_h_prime,
+                      hadamard, make_mapping, scan_dilatation,
+                      series_derivative, series_eval, taylor_of_mapping,
+                      univalency_radius, zeros_in_unit_disk)
+from harmconv.convolution import _derivatives
+from harmconv.mappings import term_table
 
 RNG = np.random.default_rng(41)
 
@@ -141,14 +145,15 @@ class TestScan:
 
     def test_violations_match_nodewise_list(self):
         # the violation list against one node at a time, as (z, modulus)
-        # pairs of Python numbers in row-major order
+        # pairs of Python numbers in row-major order; the moduli are the row
+        # kernel's, which test_ring_route_matches_conv_derivatives checks
+        # against conv_derivatives
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
         grid = GridSpec((0.9, 0.95, 0.99), 360)
         ring = np.exp(2j * math.pi * np.arange(360) / 360)
         want = []
         for r in grid.radii:
-            Hp, Gp = conv_derivatives(spec, r * ring)
-            mod = np.abs(Gp / Hp)
+            mod, _ = analysis._scan_row(spec, r, ring)
             want += [(complex(r * ring[k]), float(mod[k]))
                      for k in np.flatnonzero(mod >= 1)]
         got = scan_dilatation(spec, grid).violations
@@ -307,6 +312,59 @@ class TestB:
             eval_B(0.3, 0.5, 0.0)
 
 
+class TestRingRoute:
+    # scan rows and radius rings sum Fn's lone-log orbit one rotation class
+    # at a time (g = gcd(n, K)); public conv_derivatives sums it log by log
+    @staticmethod
+    def routes(spec, R, K):
+        """omega on the ring by the ring route and by conv_derivatives,
+        after checking that the scan row's moduli are the ring route's."""
+        ring = np.exp(2j * math.pi * np.arange(K) / K)
+        z = R * ring
+        t = term_table(spec.right)
+        Hp, Gp = _derivatives(spec.a, t, z, math.gcd(t.n, K))
+        mod, crit = analysis._scan_row(spec, R, ring)
+        assert not crit and np.array_equal(mod, np.abs(Gp / Hp))
+        Hp0, Gp0 = conv_derivatives(spec, z)
+        return Gp / Hp, Gp0 / Hp0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 10, 12, 15, 40])
+    @pytest.mark.parametrize("theta", [math.pi, math.pi - 1e-6, 0.7],
+                             ids=["pi", "near-pi", "general"])
+    def test_ring_route_matches_conv_derivatives(self, n, theta):
+        # K = 720 and 1440 give g = n for most n, 100 gives 1 < g < n for
+        # n = 12, 15, 40, and the prime 97 gives g = 1
+        for K in (720, 1440, 100, 97):
+            for R in (0.05, 0.5, 0.99, 0.999):
+                for a in (0.5, -0.5):
+                    spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+                    w, w0 = self.routes(spec, R, K)
+                    err = np.abs(w - w0) / np.maximum(1, np.abs(w0))
+                    assert np.max(err) <= 1e-12, (K, R, a)
+
+    @pytest.mark.parametrize("right", [
+        make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
+        make_mapping("F1", theta=math.pi - 1e-6)], ids=["F0", "F1", "F1-near-pi"])
+    def test_no_orbit_matches_bit_for_bit(self, right):
+        for K in (720, 1440, 97):
+            for R in (0.05, 0.5, 0.999):
+                for a in (0.5, -0.5):
+                    w, w0 = self.routes(ConvolutionSpec(a, right), R, K)
+                    assert np.array_equal(w, w0)
+
+    def test_ring_route_against_series(self):
+        # n = 15 on 720 nodes takes one class (g = 15) against the order-256
+        # Hadamard series, which uses no logarithm
+        a, right = -0.2, make_mapping("Fn", n=15, theta=math.pi)
+        z = 0.5 * np.exp(2j * math.pi * np.arange(720) / 720)
+        Hp, Gp = _derivatives(a, term_table(right), z, 15)
+        ha, ga = taylor_of_mapping(make_mapping("Fa", a=a), 256)
+        hr, gr = taylor_of_mapping(right, 256)
+        want_h = series_eval(series_derivative(hadamard(ha, hr)), z)
+        want_g = series_eval(series_derivative(hadamard(ga, gr)), z)
+        assert np.max(np.abs(Gp / Hp - want_g / want_h)) < 1e-10
+
+
 class TestRadius:
     def test_univalent_family_fills_disk(self):
         spec = ConvolutionSpec(0.5, make_mapping("F1", theta=math.pi / 6))
@@ -337,6 +395,23 @@ class TestRadius:
 
         assert dense_max(r) < 1
         assert dense_max(r + tol) >= 1
+
+    def test_ring_reaching_one_skips_the_zooms(self, monkeypatch):
+        # the ring's own maximum is returned once it reaches 1; below 1 the
+        # zooms refine it through conv_derivatives
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return conv_derivatives(*args)
+
+        monkeypatch.setattr(analysis, "conv_derivatives", counting)
+        ring = np.exp(1j * (2 * math.pi / 1440) * np.arange(1440))  # its ring
+        top = np.max(analysis._scan_row(spec, 0.99, ring)[0])
+        assert top >= 1 and analysis._circle_max(spec, 0.99) == top
+        assert calls == []
+        assert analysis._circle_max(spec, 0.9) < 1 and len(calls) == 4
 
     def test_tolerance_floor(self):
         spec = ConvolutionSpec(0.5, make_mapping("F0"))
