@@ -5,7 +5,9 @@ grid scans of convolution dilatations with violation reporting, the
 auxiliary boundary function J with its piecewise boundary analysis, and the
 univalency radius by a safeguarded regula falsi on the log of the circle
 maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no zeros
-(maximum modulus principle).
+(maximum modulus principle).  Each circle maximum is the top of a 1440-node
+ring, refined at the ring's peaks by Newton steps in angle on the
+closed-form first and second derivatives of log(Gp/Hp).
 """
 import cmath
 import json
@@ -17,8 +19,8 @@ import numpy as np
 
 from ._core import (CRITICAL_TOL, check_a, finish, norm_theta,
                     positive_int, prepare, real)
-from .convolution import (ConvolutionSpec, _derivatives, _odd_guard,
-                          conv_derivatives)
+from .convolution import (ConvolutionSpec, _derivatives, _log_jets,
+                          _odd_guard)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import make_mapping, term_table
@@ -345,25 +347,34 @@ def J_boundary(theta, t) -> JBoundaryResult:
 # univalency radius
 
 def _circle_max(spec, r):
-    """max |Gp/Hp| on |z| = r, inf at a critical node: each local maximum of
-    a 1440-node ring is refined by four 33-point zooms, each 16x narrower.
-    A ring that already reaches 1 is returned unrefined: a sample is a lower
-    bound of the maximum, so the circle fails the search's test either way."""
+    """max |Gp/Hp| on |z| = r, inf at a critical node: the top of a 1440-node
+    ring, raised by three Newton steps on phi(t) = log |omega(r e^{it})| from
+    each of the ring's local maxima.  With L1 = omega'/omega and L2 = (log
+    omega)'' (``_log_jets``), phi' = Re(i z L1) and phi'' = Re(-z L1 - z^2
+    L2); a step is taken only where phi'' < 0 and is clipped to one ring
+    step.  The result is the largest |omega| evaluated, the ring's and the
+    steps', so it is a value at a point of the circle.  A ring that already
+    reaches 1 is returned unrefined: a sample is a lower bound of the
+    maximum, so the circle fails the search's test either way.  So is a ring
+    of radius below 0.01, where the derivatives' /z forms cancel."""
     step = 2 * math.pi / 1440
     mod, crit = _scan_row(spec, r, np.exp(1j * step * np.arange(1440)))
     if crit:
         return math.inf
     top = np.max(mod)
-    if top >= 1:
+    if top >= 1 or r < 0.01:
         return float(top)
     t = step * np.flatnonzero((mod >= np.roll(mod, 1)) & (mod > np.roll(mod, -1)))
-    for k in range(4):
-        # the middle point of each zoom is the best point of the last one
-        ts = t[:, None] + step / 16 ** k * np.linspace(-1, 1, 33)
-        Hp, Gp = conv_derivatives(spec, r * np.exp(1j * ts))
-        m = np.abs(Gp / Hp)
-        t = ts[np.arange(len(t)), np.argmax(m, axis=1)]
-    return float(np.max(m, initial=top))
+    table = term_table(spec.right)
+    for _ in range(3):
+        z = r * np.exp(1j * t)
+        w, L1, L2 = _log_jets(spec.a, table, z)
+        top = np.max(np.abs(w), initial=top)
+        d1, d2 = np.real(1j * z * L1), np.real(-z * L1 - z * z * L2)
+        t = t - np.clip(np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0),
+                        -step, step)
+    Hp, Gp = _derivatives(spec.a, table, r * np.exp(1j * t))
+    return float(np.max(np.abs(Gp / Hp), initial=top))
 
 
 def _log_or_nan(m):
@@ -380,12 +391,13 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     modulus principle, and unbounded toward a zero of Hp.  The search keeps
     a bracket [lo, hi] of [0, 0.999] with "no critical node and M < 1" at
     lo and not at hi, and narrows it by Illinois regula falsi on log M(r),
-    each probe at least tol/2 inside the bracket; a circle whose sampled
-    ring already reaches 1 gives its sample for M.  It bisects instead while
-    log M is not finite at an end (M(0) is never computed) and whenever the
-    bracket has fallen behind one halving per two probes, so it needs at
-    most about twice the circles of a plain bisection: 43 against 21 at
-    tol = 1e-6.
+    each probe at least tol/2 inside the bracket.  M is a 1440-node ring's
+    top raised by Newton steps from its peaks (``_circle_max``), always a
+    value at a point of the circle; a ring that already reaches 1 gives its
+    sample for M.  It bisects instead while log M is not finite at an end
+    (M(0) is never computed) and whenever the bracket has fallen behind one
+    halving per two probes, so it needs at most about twice the circles of a
+    plain bisection: 43 against 21 at tol = 1e-6.
     """
     tol = real(tol, "tol")
     if not 1e-6 <= tol < 1:

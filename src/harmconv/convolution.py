@@ -98,6 +98,28 @@ def _derivatives(a, t, z, g=1):
     return Hp, Gp
 
 
+def _log_jets(a, t, z):
+    """(omega, L1, L2) at the 1-d points z != 0, unguarded: omega = Gp/Hp,
+    L1 = omega'/omega and L2 = (log omega)''.  One ``odd_rests`` call gives
+    the odd quotient D, and D' = (f'(z) + f'(-z) - D)/z and D'' = (f''(z) -
+    f''(-z) - 2D')/z, with f', f'' and f''' rational (``TermTable.jets``),
+    need no further logarithm; each /z costs about eps/|z| of D's scale."""
+    rh, rg = t.odd_rests(z)
+    hj, gj = t.jets(np.stack((z, -z)))
+
+    def part(sign, D, f1, f2, f3):
+        # (F, F', F'') for F = sign (1-a)/4 D + (1+a)/2 f', each f at (z, -z)
+        D1 = (f1[0] + f1[1] - D) / z
+        D2 = (f2[0] - f2[1] - 2 * D1) / z
+        return [sign * (1 - a) / 4 * d + (1 + a) / 2 * f[0]
+                for d, f in zip((D, D1, D2), (f1, f2, f3))]
+
+    H = part(1, 2 + z * z * rh, *hj)
+    G = part(-1, 2 * (t.s - 1) + z * z * rg, *gj)
+    lh, lg = H[1] / H[0], G[1] / G[0]
+    return G[0] / H[0], lg - lh, G[2] / G[0] - lg * lg - H[2] / H[0] + lh * lh
+
+
 def conv_dilatation(spec: ConvolutionSpec, z):
     """The convolution's dilatation Gp/Hp."""
     arr, scalar = prepare(z)

@@ -75,6 +75,10 @@ def make_mapping(family, a=None, theta=None, n=None) -> MappingSpec:
     return MappingSpec(family, a, theta, n)
 
 
+# the most elements of one _atanh_rest over the orbit's classes in odd_rests
+_ORBIT_BLOCK = 2 ** 16
+
+
 class TermTable(NamedTuple):
     """One mapping as data; see the module docstring for the formulas."""
     alpha: complex    # coefficient of w = z/(1-z)
@@ -103,6 +107,23 @@ class TermTable(NamedTuple):
         q = 1 / ((1 + w) * (1 - z) ** 2)
         return (1 + self.b * w) * q, (w + self.b) * q
 
+    def jets(self, z):
+        """((h', h'', h'''), (g', g'', g''')) at z, rational like ``primes``:
+        h' = (1 + b w) q and g' = (w + b) q with q = 1/((1 + w)(1-z)^2), so
+        q'/q = A = 2/(1-z) - w'/(1+w) and q''/q = A' + A^2."""
+        n, u, b = self.n, self.u, self.b
+        w, w1 = u * z ** n, n * u * z ** (n - 1)
+        w2 = n * (n - 1) * u * z ** (n - 2) if n > 1 else 0
+        q = 1 / ((1 + w) * (1 - z) ** 2)
+        e = w1 / (1 + w)
+        A = 2 / (1 - z) - e
+        q1, q2 = A * q, (2 / (1 - z) ** 2 - w2 / (1 + w) + e * e + A * A) * q
+
+        def jet(p, p1, p2):  # p q and its next two derivatives
+            return p * q, p1 * q + p * q1, p2 * q + 2 * p1 * q1 + p * q2
+
+        return jet(1 + b * w, b * w1, b * w2), jet(w + b, w1, w2)
+
     def odd_rests(self, z, g=1):
         """(R_h, R_g) with (h(z) - h(-z))/z = 2 + z^2 R_h and (g(z) -
         g(-z))/z = 2(s-1) + z^2 R_g, each summed from its own terms' rests:
@@ -117,7 +138,9 @@ class TermTable(NamedTuple):
         r_j z_k = r_c z_(k - tK/g), so term j reads its class's E rotated by
         tK/g nodes.  With the nodes as g rows of K/g, that is one g x g
         circulant of the class's weights, and the orbit costs n/g logs per
-        node, not n - 1.  g = 1 takes any z.
+        node, not n - 1.  g = 1 takes any z.  The classes go through one
+        ``_atanh_rest`` as classes x points, in blocks of at most _ORBIT_BLOCK
+        elements: a few points take one call, a large grid one class a call.
         """
         z2 = z * z
         q = 1 / (1 - z2)
@@ -133,9 +156,13 @@ class TermTable(NamedTuple):
             roots = np.append(1 - self.d, self.r[1:])
             turn = np.subtract.outer(np.arange(g), np.arange(g)) % g
             circulants = w.T[:, turn]  # [c, p, s] = w[(p - s) mod g, c]
-            for c in np.flatnonzero(w.any(axis=0)):
-                rest = _atanh_rest(roots[c] * z).reshape(g, -1)
-                logs = logs - (circulants[c] @ rest).reshape(np.shape(z))
+            classes = np.flatnonzero(w.any(axis=0))
+            size = max(1, _ORBIT_BLOCK // max(1, np.size(z)))
+            for i in range(0, len(classes), size):
+                c = classes[i:i + size]
+                rest = _atanh_rest(np.multiply.outer(roots[c], z))
+                logs = logs - (circulants[c] @ rest.reshape(len(c), g, -1)).sum(
+                    axis=0).reshape(np.shape(z))
         return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
 
     def odd_integrals(self, z):

@@ -396,22 +396,66 @@ class TestRadius:
         assert dense_max(r) < 1
         assert dense_max(r + tol) >= 1
 
-    def test_ring_reaching_one_skips_the_zooms(self, monkeypatch):
+    @staticmethod
+    def dense_max(spec, rho):
+        """max |Gp/Hp| on |z| = rho through public conv_derivatives: a
+        2^18-node ring, then 4097 nodes across the two ring steps around its
+        top, 2^-29 pi apart, which leave the top within about 1e-14."""
+        def top(t):
+            Hp, Gp = conv_derivatives(spec, rho * np.exp(1j * t))
+            m = np.abs(Gp / Hp)
+            return t[np.argmax(m)], np.max(m)
+
+        step = 2 * math.pi / 2 ** 18
+        t, _ = top(step * np.arange(2 ** 18))
+        return top(t + step * np.linspace(-1, 1, 4097))[1]
+
+    def test_ring_reaching_one_is_not_refined(self, monkeypatch):
         # the ring's own maximum is returned once it reaches 1; below 1 the
-        # zooms refine it through conv_derivatives
+        # Newton steps raise it to the circle's maximum
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return conv_derivatives(*args)
+        def counting(f):
+            def wrapped(*args):
+                calls.append(f.__name__)
+                return f(*args)
+            return wrapped
 
-        monkeypatch.setattr(analysis, "conv_derivatives", counting)
+        for name in ("_derivatives", "_log_jets"):
+            monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
         ring = np.exp(1j * (2 * math.pi / 1440) * np.arange(1440))  # its ring
         top = np.max(analysis._scan_row(spec, 0.99, ring)[0])
+        calls.clear()
         assert top >= 1 and analysis._circle_max(spec, 0.99) == top
-        assert calls == []
-        assert analysis._circle_max(spec, 0.9) < 1 and len(calls) == 4
+        assert calls == ["_derivatives"]  # the ring alone
+        top = np.max(analysis._scan_row(spec, 0.9, ring)[0])
+        m = analysis._circle_max(spec, 0.9)
+        assert top <= m < 1
+        assert abs(m - self.dense_max(spec, 0.9)) <= 1e-12
+
+    @pytest.mark.parametrize("a,n,theta", [
+        (0.5, 2, math.pi), (0.7, 10, -math.pi / 2), (-0.5, 2, math.pi / 2),
+        (0.0, 40, math.pi)], ids=["n2-pi", "n10-minus-half-pi", "n2-half-pi",
+                                   "n40-pi"])
+    def test_circle_max_against_dense_ring(self, a, n, theta):
+        # at the returned radius, where the maximum is just below 1; there
+        # the 2^18-node ring alone reads up to 7.8e-8 low (n = 40)
+        spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+        r = univalency_radius(spec, 1e-6)
+        assert abs(analysis._circle_max(spec, r) - self.dense_max(spec, r)) <= 1e-12
+
+    def test_radius_is_even_in_theta(self):
+        # omega at -theta is conj omega at theta with z conjugated, so the
+        # ring peaks mirror and Newton must reach mirrored maxima
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n = int(rng.integers(2, 31))
+            theta = float(rng.uniform(0.1, math.pi - 0.1))
+            a = float(rng.uniform(-0.9, 0.9))
+            rho = [univalency_radius(ConvolutionSpec(
+                a, make_mapping("Fn", n=n, theta=s * theta))) for s in (1, -1)]
+            assert abs(rho[0] - rho[1]) <= 1e-12, (a, n, theta)
 
     def test_tolerance_floor(self):
         spec = ConvolutionSpec(0.5, make_mapping("F0"))

@@ -12,6 +12,8 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       hadamard, li2, make_mapping, render_webbing,
                       series_derivative, series_div, series_eval,
                       taylor_of_mapping, univalency_radius)
+from harmconv.convolution import _log_jets
+from harmconv.mappings import term_table
 from harmconv.special import log_principal
 
 RNG = np.random.default_rng(31)
@@ -334,3 +336,55 @@ NAN = float("nan")
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+LOG_JET_RIGHTS = [make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
+                  make_mapping("F1", theta=math.pi - 1e-6)] + [
+    make_mapping("Fn", n=n, theta=theta)
+    for n in (2, 3, 15, 40) for theta in (math.pi, 0.7)]
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5])
+@pytest.mark.parametrize("right", LOG_JET_RIGHTS, ids=lambda m: (
+    f"{m.family}-n{m.n}-theta{m.theta:.3f}" if m.theta is not None else m.family))
+class TestLogJets:
+    # _log_jets gives omega = Gp/Hp, L1 = omega'/omega and L2 = (log omega)'';
+    # they are compared through omega' = omega L1 and omega'' = omega (L2 +
+    # L1^2), which stay on the scale of omega where omega is tiny
+    @staticmethod
+    def jets(a, right, z):
+        w, L1, L2 = _log_jets(a, term_table(right), z)
+        return w, w * L1, w * (L2 + L1 * L1)
+
+    def test_against_central_differences(self, a, right):
+        # Richardson-extrapolated central differences of conv_dilatation,
+        # O(h^4): about 5e-7 of the scale at h = 2e-3 for n = 40, 16x less
+        # per halving of h, against rounding of eps/h^2
+        z = disk(100, 0.95)
+        z = z[np.abs(z) > 0.6]
+        spec = ConvolutionSpec(a, right)
+
+        def central(h):
+            lo, mid, hi = (conv_dilatation(spec, z + s * h) for s in (-1, 0, 1))
+            return np.array([(hi - lo) / (2 * h), (hi - 2 * mid + lo) / h ** 2])
+
+        h = 5e-4
+        want = (4 * central(h / 2) - central(h)) / 3
+        w, w1, w2 = self.jets(a, right, z)
+        np.testing.assert_allclose(w, conv_dilatation(spec, z), rtol=1e-13, atol=1e-15)
+        for got, ref in zip((w1, w2), want):
+            assert np.max(np.abs(got - ref) / np.maximum(1, np.abs(ref))) < 1e-7
+
+    def test_against_series(self, a, right):
+        # the order-256 Hadamard series and its derivatives at |z| <= 0.5
+        z = disk(200, 0.5)
+        z = z[np.abs(z) > 0.01]
+        H, G = (series_derivative(s) for s in oracle_series(a, right))
+        h0, h1, h2 = (series_eval(s, z) for s in (
+            H, series_derivative(H), series_derivative(series_derivative(H))))
+        g0, g1, g2 = (series_eval(s, z) for s in (
+            G, series_derivative(G), series_derivative(series_derivative(G))))
+        want = (g0 / h0, (g1 * h0 - g0 * h1) / h0 ** 2,
+                (g2 * h0 - g0 * h2) / h0 ** 2 - 2 * h1 * (g1 * h0 - g0 * h1) / h0 ** 3)
+        for got, ref in zip(self.jets(a, right, z), want):
+            assert np.max(np.abs(got - ref)) < 1e-11

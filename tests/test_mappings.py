@@ -6,7 +6,8 @@ import pytest
 from harmconv import (DomainError, MappingSpec, ParameterError,
                       SingularityError, dilatation, eval_f, eval_g,
                       eval_g_prime, eval_h, eval_h_prime, make_mapping,
-                      singular_points)
+                      series_derivative, series_eval, singular_points,
+                      taylor_of_mapping)
 from harmconv.mappings import term_table
 
 RNG = np.random.default_rng(21)
@@ -157,6 +158,20 @@ def test_h_prime_matches_finite_difference():
         gp = eval_g_prime(spec, z)
         fdg = (eval_g(spec, z + h) - eval_g(spec, z - h)) / (2 * h)
         assert np.max(np.abs(fdg - gp) / np.maximum(1, np.abs(gp))) < 1e-6, spec
+
+
+def test_jets_against_series():
+    # h', h'', h''' and g', g'', g''' of every family, Fa's b != 0 included,
+    # against the derivatives of the order-256 Taylor series at |z| <= 0.5
+    z = _disk_sample(200, 0.5)
+    for spec in all_specs():
+        for got, series in zip(term_table(spec).jets(z),
+                               taylor_of_mapping(spec, 256)):
+            for k in range(3):
+                series = series_derivative(series)
+                want = series_eval(series, z)
+                err = np.abs(got[k] - want) / np.maximum(1, np.abs(want))
+                assert np.max(err) < 1e-12, (spec, k)
 
 
 def test_fn1_pi_collapses_to_f0():
