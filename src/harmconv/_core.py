@@ -33,6 +33,15 @@ def real(value, name):
     return float(value)
 
 
+def instance(value, cls, name):
+    """value; ParameterError unless it is a cls (a spec passed for another
+    would otherwise end in a bare AttributeError)."""
+    if not isinstance(value, cls):
+        raise ParameterError(
+            f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def check_a(a):
     """a as a float; ParameterError unless -1 < a < 1 (NaN fails too)."""
     x = real(a, "a")

@@ -2,14 +2,15 @@
 
 Contains a Schur-Cohn zero counter for polynomials in the unit disk,
 grid scans of convolution dilatations with violation reporting, the
-auxiliary boundary function J with its piecewise boundary analysis, and the
-univalency radius by a safeguarded regula falsi on the log of the circle
-maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no zeros
-(maximum modulus principle).  Each circle maximum is the top of a 1440-node
-ring, refined at the ring's peaks by Newton steps in angle on the
-closed-form first and second derivatives of log(Gp/Hp).
+auxiliary function J, whose boundary values come from one closed form in
+which no term cancels (the real part also from the piecewise argument
+analysis), and the univalency radius by a safeguarded regula falsi on the
+log of the circle maximum of |Gp/Hp|, which is nondecreasing in r while Hp
+has no zeros (maximum modulus principle), out to |z| = 1 - 1e-6.  Each
+circle maximum is the top of a 1440-node ring, refined at the ring's peaks
+by Newton steps in angle on the closed-form first and second derivatives of
+log(Gp/Hp).
 """
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -17,13 +18,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._core import (CRITICAL_TOL, check_a, finish, norm_theta,
-                    positive_int, prepare, real)
+from ._core import (CRITICAL_TOL, check_a, finish, instance, positive_int,
+                    prepare, real)
 from .convolution import (ConvolutionSpec, _derivatives, _log_jets,
                           _odd_guard)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
-from .mappings import make_mapping, term_table
+from .mappings import _phi, make_mapping, term_table
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def _scan_row(spec, r, ring):
     """Moduli of the dilatation on the circle |z| = r, nan at a critical
     node, and the critical nodes.  ring holds K equispaced unit nodes in
     angular order, so Fn's orbit takes n/gcd(n, K) logs per node; r <=
-    0.999 keeps the nodes clear of the unit-circle singularities."""
+    OUTER_RADIUS keeps the nodes clear of the unit-circle singularities."""
     z = r * ring
     t = term_table(spec.right)
     Hp, Gp = _derivatives(spec.a, t, z, math.gcd(t.n, len(z)))
@@ -225,7 +226,8 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     within |z| <= 0.999, clear of the unit-circle singularities, so the
     report's ``skipped`` count is always 0.
     """
-    K = grid.angles_count
+    instance(spec, ConvolutionSpec, "spec")
+    K = instance(grid, GridSpec, "grid").angles_count
     ring = np.exp(2j * math.pi * np.arange(K) / K)
     scanned = [_scan_row(spec, r, ring) for r in grid.radii]
     criticals = [w for _, crit in scanned for w in crit]
@@ -296,11 +298,19 @@ class JBoundaryResult:
 
 
 def J_boundary(theta, t) -> JBoundaryResult:
-    """Re J(e^{it}) via the piecewise argument analysis, plus limits at the
-    four exceptional angles."""
-    th = norm_theta(theta)
-    if abs(abs(th) - math.pi) < 1e-12:
-        raise ParameterError("J_boundary is undefined at theta = pi")
+    """J(e^{it}), s = theta + t, with Re J by the piecewise argument analysis
+    and limits at the four exceptional angles; like F1, undefined only at
+    theta = pi.
+
+    With c = cos(theta/2), P = sin(t/2) sin(s/2), Q = cos(t/2) cos(s/2) =
+    c - P and x = c/P, J = -2i sin(t/2) cos(s/2)/c (2 + 2D/x), where D =
+    2 atanh(e^{is}) + 2 atanh(e^{it}) = log|1 - x| + i(A - B), and A - B is
+    pi or -pi where sin t and sin s are both positive or both negative, else
+    0.  The real part of 2 + 2D/x is -2x phi(-x) for |x| < 1/2, phi(y) =
+    (y - log1p y)/y^2, and 2 + 2 log|Q/P|/x elsewhere: no term cancels, so
+    the value keeps its relative accuracy as theta -> +-pi, where x -> 0
+    under the 1/c."""
+    th = make_mapping("F1", theta=theta).theta
     if not math.isfinite(real(t, "t")):
         raise ParameterError(f"t must be a finite number, got {t!r}")
     tau = 2 * math.pi
@@ -323,28 +333,32 @@ def J_boundary(theta, t) -> JBoundaryResult:
         v = 4j * math.tan(th / 2)
         return JBoundaryResult(0.0, "limit-4i-tan", v)
 
-    st = math.sin(tt)
-    su = math.sin(th + tt)
+    s = th + tt
+    st, su = math.sin(tt), math.sin(s)
     if st > 0 and su > 0:
         ab, case = math.pi, "A-B=pi"
     elif st < 0 and su < 0:
         ab, case = -math.pi, "A-B=-pi"
     else:
         ab, case = 0.0, "A-B=0"
-    re = 2 * math.sin(tt / 2) ** 2 * su / math.cos(th / 2) ** 2 * ab
-
-    eit = cmath.exp(1j * tt)
-    eis = cmath.exp(1j * (th + tt))
-    # each log argument has non-negative real part; principal branch is safe
-    D = (cmath.log(1 + eis) - cmath.log(1 - eit)
-         - cmath.log(1 - eis) + cmath.log(1 + eit))
-    pref = -2j * math.sin(tt / 2) * math.cos((th + tt) / 2) / math.cos(th / 2)
-    inner = 2 + 2 * math.sin(tt / 2) * math.sin((th + tt) / 2) / math.cos(th / 2) * D
-    return JBoundaryResult(re, case, pref * inner)
+    c, P = math.cos(th / 2), math.sin(tt / 2) * math.sin(s / 2)
+    re = 2 * math.sin(tt / 2) ** 2 * su / c ** 2 * ab
+    x = c / P
+    if abs(x) < 0.5:  # where 2 log|1 - x|/x would cancel the 2
+        inner = -2 * x * float(_phi(np.float64(-x)))
+    else:
+        inner = 2 + 2 / x * math.log(abs(math.cos(tt / 2) * math.cos(s / 2) / P))
+    pref = -2j * math.sin(tt / 2) * math.cos(s / 2) / c
+    return JBoundaryResult(re, case, pref * complex(inner, 2 * ab / x))
 
 
 # ---------------------------------------------------------------------------
 # univalency radius
+
+# the search's outer circle, 1 - (the least tol): its ring nodes stay 1e-6
+# from the unit circle's singular points, far outside the 1e-9 guard
+OUTER_RADIUS = 1 - 1e-6
+
 
 def _circle_max(spec, r):
     """max |Gp/Hp| on |z| = r, inf at a critical node: the top of a 1440-node
@@ -384,14 +398,18 @@ def _log_or_nan(m):
 
 def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     """Univalency radius r: max |Gp/Hp| < 1 on |z| = r and >= 1 on
-    |z| = r + tol; 1.0 when the circle |z| = 0.999 passes.
+    |z| = r + tol; 1.0 when the circle |z| = OUTER_RADIUS = 1 - 1e-6 passes.
+
+    So 1.0 certifies max |Gp/Hp| < 1 on |z| = 1 - 1e-6, and by the maximum
+    modulus argument below on the disk inside it; for F0 and F1 right factors
+    it is also the paper's theorem, local univalence in the whole disk.
 
     If Hp has no zeros on |z| <= r (assumed, not checked), Gp/Hp is analytic
     there, so its maximum M(r) on |z| = r is nondecreasing by the maximum
     modulus principle, and unbounded toward a zero of Hp.  The search keeps
-    a bracket [lo, hi] of [0, 0.999] with "no critical node and M < 1" at
-    lo and not at hi, and narrows it by Illinois regula falsi on log M(r),
-    each probe at least tol/2 inside the bracket.  M is a 1440-node ring's
+    a bracket [lo, hi] of [0, OUTER_RADIUS] with "no critical node and
+    M < 1" at lo and not at hi, and narrows it by Illinois regula falsi on
+    log M(r), each probe at least tol/2 inside the bracket.  M is a 1440-node ring's
     top raised by Newton steps from its peaks (``_circle_max``), always a
     value at a point of the circle; a ring that already reaches 1 gives its
     sample for M.  It bisects instead while log M is not finite at an end
@@ -399,13 +417,14 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     halving per two probes, so it needs at most about twice the circles of a
     plain bisection: 43 against 21 at tol = 1e-6.
     """
+    instance(spec, ConvolutionSpec, "spec")
     tol = real(tol, "tol")
     if not 1e-6 <= tol < 1:
         raise ParameterError(f"tol must lie in [1e-6, 1), got {tol!r}")
-    m = _circle_max(spec, 0.999)
+    m = _circle_max(spec, OUTER_RADIUS)
     if m < 1:
         return 1.0
-    lo, hi = 0.0, 0.999
+    lo, hi = 0.0, OUTER_RADIUS
     y_lo, y_hi = math.nan, _log_or_nan(m)
     moved = 0  # the end the last step replaced: -1 lo, +1 hi
     steps = 0
@@ -413,7 +432,7 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
         # regula falsi while both ends have a finite log M and the bracket
         # has kept pace with one halving per two steps (one step of grace)
         if (math.isfinite(y_lo + y_hi)
-                and hi - lo <= 0.999 * 2 ** ((1 - steps) / 2)):
+                and hi - lo <= OUTER_RADIUS * 2 ** ((1 - steps) / 2)):
             r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
             r = min(max(r, lo + tol / 2), hi - tol / 2)
         else:

@@ -132,7 +132,11 @@ def check(family, a, n, theta, radii, angles, fmt):
 @_with_family
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 def radius(family, a, n, theta, tol):
-    """Estimate the univalency radius of the convolution."""
+    """Estimate the univalency radius of the convolution.
+
+    1.0 means max |dilatation| < 1 on |z| = 1 - 1e-6; for f0 and f1 it is
+    also the paper's theorem, local univalence in the whole disk.
+    """
     r = univalency_radius(_conv_spec(family, n, theta, a), tol)
     click.echo(f"{r:.6f}")
 

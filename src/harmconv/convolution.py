@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import CRITICAL_TOL, check_a, finish, prepare
+from ._core import CRITICAL_TOL, check_a, finish, instance, prepare
 from .errors import CriticalPointError, DomainError, ParameterError
 from .mappings import MappingSpec, guard, make_mapping, term_table
 
@@ -82,7 +82,7 @@ def conv_derivatives(spec: ConvolutionSpec, z):
     for g_r, summed from the right factor's terms.  z = 0 gives (1, 0).
     """
     arr, scalar = prepare(z)
-    t = term_table(spec.right)
+    t = term_table(instance(spec, ConvolutionSpec, "spec").right)
     _odd_guard(t, arr)
     Hp, Gp = _derivatives(spec.a, t, arr)
     return finish(Hp, scalar), finish(Gp, scalar)
@@ -121,7 +121,14 @@ def _log_jets(a, t, z):
 
 
 def conv_dilatation(spec: ConvolutionSpec, z):
-    """The convolution's dilatation Gp/Hp."""
+    """The convolution's dilatation Gp/Hp.
+
+    For Fn its accuracy is absolute, not relative, where |Gp/Hp| is tiny
+    (small |z|, large n): Gp sums terms of order one that cancel to about
+    |z|^n, so its rounding error is about 1e-16 whatever its size.  At n = 40
+    and |z| = 0.3, |Gp/Hp| = 4.3e-22 comes out 7.5e5 relative off.  Scans
+    and radii only compare |Gp/Hp| with 1, so they are unaffected.
+    """
     arr, scalar = prepare(z)
     Hp, Gp = map(np.asarray, conv_derivatives(spec, arr))
     crit = np.abs(Hp) <= CRITICAL_TOL
@@ -142,5 +149,6 @@ def conv_value(spec: ConvolutionSpec, z):
     arr, scalar = prepare(z)
     if not np.all(np.abs(arr) <= 0.999):
         raise DomainError("conv_value requires |z| <= 0.999")
-    H, G = _values(spec.a, term_table(spec.right), arr.reshape(-1))
+    t = term_table(instance(spec, ConvolutionSpec, "spec").right)
+    H, G = _values(spec.a, t, arr.reshape(-1))
     return finish((H + np.conj(G)).reshape(arr.shape), scalar)

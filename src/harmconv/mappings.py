@@ -35,8 +35,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._core import (SINGULARITY_GUARD, check_a, finish, norm_theta,
-                    positive_int, prepare)
+from ._core import (SINGULARITY_GUARD, check_a, finish, instance,
+                    norm_theta, positive_int, prepare)
 from .errors import DomainError, ParameterError, SingularityError
 from .special import li2
 
@@ -254,7 +254,7 @@ def term_table(spec: MappingSpec) -> TermTable:
 
 def singular_points(spec: MappingSpec) -> np.ndarray:
     """Unit-circle singularities of the closed forms for this family."""
-    return term_table(spec).sing.copy()
+    return term_table(instance(spec, MappingSpec, "spec")).sing.copy()
 
 
 def guard(arr, sing):
@@ -276,7 +276,7 @@ def guard(arr, sing):
 
 def _eval(spec, z, pick):
     arr, scalar = prepare(z)
-    table = term_table(spec)
+    table = term_table(instance(spec, MappingSpec, "spec"))
     guard(arr, table.sing)
     return finish(pick(table, arr), scalar)
 
@@ -312,6 +312,6 @@ def dilatation(spec: MappingSpec, z):
     arr, scalar = prepare(z)
     if not np.all(np.abs(arr) < 1):
         raise DomainError("dilatation requires |z| < 1")
-    t = term_table(spec)
+    t = term_table(instance(spec, MappingSpec, "spec"))
     w = t.u * arr ** t.n
     return finish((w + t.b) / (1 + t.b * w), scalar)

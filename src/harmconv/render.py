@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import positive_int, real
+from ._core import instance, positive_int, real
 from .convolution import ConvolutionSpec, conv_value
 from .errors import ParameterError
 
@@ -57,6 +57,7 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
     ``stroke`` is a hex colour or a colour name and ``stroke_width`` a
     finite positive width in pixels; anything else is a ParameterError.
     """
+    instance(fig, FigureSpec, "fig")  # conv_value checks spec
     if not isinstance(stroke, str) or not _COLOUR.fullmatch(stroke):
         raise ParameterError(f"stroke must be a hex colour or a colour name, "
                              f"got {stroke!r}")

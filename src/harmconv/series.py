@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import finish, positive_int, prepare
+from ._core import finish, instance, positive_int, prepare
 from .errors import ParameterError
 from .mappings import MappingSpec
 
@@ -40,6 +40,7 @@ def taylor_of_mapping(spec: MappingSpec, N: int):
     s = 1 + a and omega = (z+a)/(1+az) for Fa, s = 1 and omega = e^{i theta}
     z^n for Fn, with F1 = Fn(1, theta) and F0 = Fn(1, pi).
     """
+    instance(spec, MappingSpec, "spec")
     N = positive_int(N, "N")
     omega = np.zeros(N + 1, dtype=complex)
     if spec.family == "Fa":

@@ -289,6 +289,83 @@ class TestJBoundary:
             J_boundary(math.pi, 0.3)
 
 
+def J_closed_form(theta, t):
+    """J(e^{it}) at 60 digits by the complex-log closed form
+    -2i sin(t/2) cos(s/2)/c (2 + 2 sin(t/2) sin(s/2) D/c), s = theta + t,
+    c = cos(theta/2), D = log(1 + e^{is}) - log(1 - e^{it}) - log(1 - e^{is})
+    + log(1 + e^{it}); at 60 digits its cancellation near theta = +-pi costs
+    nothing."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        th, t = mp.mpf(theta), mp.mpf(t)
+        s, c = th + t, mp.cos(th / 2)
+        eit, eis = mp.expj(t), mp.expj(s)
+        D = mp.log(1 + eis) - mp.log(1 - eit) - mp.log(1 - eis) + mp.log(1 + eit)
+        return complex(-2j * mp.sin(t / 2) * mp.cos(s / 2) / c
+                       * (2 + 2 * mp.sin(t / 2) * mp.sin(s / 2) / c * D))
+
+
+# theta = +-(pi - 10^-k), the float next to pi and pi - 5e-13
+NEAR_PI = [sign * th for th in [math.pi - 10.0 ** -k for k in range(1, 13)]
+           + [math.pi - 5e-13, 3.1415926535897927] for sign in (1, -1)]
+
+
+def off_limits(theta, t, gap):
+    """t at least gap from J_boundary's four limit angles, mod 2 pi."""
+    return all(abs(math.remainder(t - x, 2 * math.pi)) >= gap
+               for x in (0, math.pi, math.pi - theta, -theta))
+
+
+class TestJBoundaryAccuracy:
+    @pytest.mark.parametrize("theta", NEAR_PI)
+    def test_near_pi_against_mpmath(self, theta):
+        for t in (0.081, 0.3, 1, 2, 2.5, 3, 4, 5.5, 6):
+            want = J_closed_form(theta, t)
+            got = J_boundary(theta, t).value
+            assert abs(got - want) <= 1e-13 * abs(want), (t, got, want)
+
+    def test_random_against_mpmath(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        for theta, t in zip(rng.uniform(-math.pi, math.pi, 1200),
+                            rng.uniform(0, 2 * math.pi, 1200)):
+            r = J_boundary(theta, t)
+            if r.case.startswith("limit"):
+                continue
+            want = J_closed_form(theta, t)
+            assert abs(r.value - want) <= 1e-12 * abs(want), (theta, t)
+            checked += 1
+        assert checked >= 1000
+
+    def test_inside_the_disk(self):
+        # eval_J's term-table route just inside the circle, a route that
+        # shares no formula with J_boundary
+        rng = np.random.default_rng(13)
+        thetas = list(rng.uniform(-math.pi, math.pi, 30)) + NEAR_PI[:24]
+        for theta in thetas:
+            ts = [t for t in rng.uniform(0, 2 * math.pi, 12)
+                  if off_limits(theta, t, 0.05)]
+            want = eval_J(theta, (1 - 1e-8) * np.exp(1j * np.array(ts)))
+            for t, w in zip(ts, want):
+                got = J_boundary(theta, t).value
+                assert abs(got - w) <= 1e-6 * max(1, abs(got)), (theta, t)
+
+    def test_conjugate_symmetry(self):
+        # J at -theta, 2 pi - t is the conjugate of J at theta, t, with the
+        # signs of sin t and sin(theta + t), so the A-B labels, swapped
+        rng = np.random.default_rng(14)
+        swap = {"A-B=pi": "A-B=-pi", "A-B=-pi": "A-B=pi", "A-B=0": "A-B=0"}
+        for theta, t in zip(rng.uniform(-math.pi, math.pi, 2000),
+                            rng.uniform(0, 2 * math.pi, 2000)):
+            r, m = J_boundary(theta, t), J_boundary(-theta, 2 * math.pi - t)
+            if r.case.startswith("limit"):
+                continue
+            scale = 1e-12 * max(1, abs(r.value))
+            assert m.case == swap[r.case], (theta, t)
+            assert abs(m.value - r.value.conjugate()) <= scale, (theta, t)
+            assert abs(m.re - r.re) <= scale, (theta, t)
+
+
 class TestB:
     def test_negative_off_origin(self):
         z = 0.95 * np.sqrt(RNG.uniform(size=1000)) * np.exp(
@@ -444,6 +521,18 @@ class TestRadius:
         spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
         r = univalency_radius(spec, 1e-6)
         assert abs(analysis._circle_max(spec, r) - self.dense_max(spec, r)) <= 1e-12
+
+    @pytest.mark.parametrize("a,n,theta", [(-0.98, 3, 1.8), (-0.98, 5, -0.8)],
+                             ids=["n3", "n5"])
+    def test_radius_past_0999_against_dense_ring(self, a, n, theta):
+        # max |omega| < 1 on |z| = 0.999 here, but not on every circle out to
+        # the search's outer one, so the radius is not 1.0
+        spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+        tol = 1e-6
+        r = univalency_radius(spec, tol)
+        assert 0.999 < r < analysis.OUTER_RADIUS
+        assert self.dense_max(spec, r) < 1
+        assert self.dense_max(spec, r + tol) >= 1
 
     def test_radius_is_even_in_theta(self):
         # omega at -theta is conj omega at theta with z conjugated, so the

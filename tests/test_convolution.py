@@ -10,8 +10,8 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       conv_dilatation_f0, conv_parts_f1, conv_value,
                       default_grid, dilatation, eval_B, eval_h, eval_J,
                       hadamard, li2, make_mapping, render_webbing,
-                      series_derivative, series_div, series_eval,
-                      taylor_of_mapping, univalency_radius)
+                      scan_dilatation, series_derivative, series_div,
+                      series_eval, taylor_of_mapping, univalency_radius)
 from harmconv.convolution import _log_jets
 from harmconv.mappings import term_table
 from harmconv.special import log_principal
@@ -241,6 +241,7 @@ def test_continuous_through_theta_pi(n):
 
 F0_SPEC = ConvolutionSpec(0.5, make_mapping("F0"))
 NAN = float("nan")
+SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
 
 
 @pytest.mark.parametrize("call,error", [
@@ -314,6 +315,18 @@ NAN = float("nan")
     (lambda: compute_row(TableRow(2, 0.5, (1, 0), (1, 3), 1.0)),
      ParameterError),
     (lambda: compute_row(TableRow(2, 0.5, "pi", (1, 3), 1.0)), ParameterError),
+    (lambda: univalency_radius(F0_SPEC.right), ParameterError),
+    (lambda: scan_dilatation(F0_SPEC.right, default_grid(2, 8)),
+     ParameterError),
+    (lambda: conv_derivatives(F0_SPEC.right, 0.5), ParameterError),
+    (lambda: conv_dilatation(F0_SPEC.right, 0.5), ParameterError),
+    (lambda: conv_value(F0_SPEC.right, 0.5), ParameterError),
+    (lambda: render_webbing(F0_SPEC.right, SMALL_FIGURE), ParameterError),
+    (lambda: scan_dilatation(F0_SPEC, ((0.5, 0.9), 8)), ParameterError),
+    (lambda: render_webbing(F0_SPEC, None), ParameterError),
+    (lambda: eval_h(F0_SPEC, 0.5), ParameterError),
+    (lambda: taylor_of_mapping(F0_SPEC, 8), ParameterError),
+    (lambda: dilatation("F0", 0.5), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -332,7 +345,12 @@ NAN = float("nan")
         "series-coeff-nan", "table-bool", "table-float", "spec-theta-nan",
         "spec-family-unknown", "spec-family-array", "spec-a-out-of-range",
         "spec-n-zero", "spec-n-float", "spec-n-bool", "spec-f1-at-pi",
-        "conv-right-string", "row-den-zero", "row-theta-string"])
+        "conv-right-string", "row-den-zero", "row-theta-string",
+        "radius-mapping-spec", "scan-mapping-spec", "derivatives-mapping-spec",
+        "conv-dilatation-mapping-spec", "value-mapping-spec",
+        "render-mapping-spec", "scan-grid-tuple", "render-figure-none",
+        "h-convolution-spec", "series-convolution-spec",
+        "mapping-dilatation-string"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

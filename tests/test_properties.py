@@ -1,5 +1,6 @@
 """Property tests over random parameters, theta near +-pi included: the
-convolution against its series, and the identities every mapping obeys."""
+convolution against its series, the identities every mapping obeys, and the
+paper's theorem that F0 and F1 right factors give univalent convolutions."""
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from harmconv import (ConvolutionSpec, conv_derivatives, conv_value,
                       dilatation, eval_g, eval_g_prime, eval_h, eval_h_prime,
                       hadamard, make_mapping, series_derivative, series_eval,
-                      taylor_of_mapping)
+                      taylor_of_mapping, univalency_radius)
 
 ORDER = 256
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -55,3 +56,21 @@ def test_mapping_identities(n, theta, a, z):
         assert np.max(np.abs(eval_h(spec, z) + eval_g(spec, z) - target)) < 1e-12
         ratio = eval_g_prime(spec, z) / eval_h_prime(spec, z)
         assert np.max(np.abs(ratio - dilatation(spec, z))) < 1e-12
+
+
+# a within 1e-3 of +-1, theta within 1e-11 of +-pi (or uniform)
+signs = st.sampled_from([1, -1])
+edge_a = st.builds(lambda sign, d: sign * (1 - d), signs, st.floats(1e-12, 1e-3))
+edge_thetas = st.one_of(
+    st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True),
+    st.builds(lambda sign, e: sign * (math.pi - e), signs,
+              st.floats(1e-15, 1e-11)))
+
+
+@SETTINGS
+@given(a=edge_a, theta=edge_thetas)
+def test_f0_and_f1_fill_the_disk(a, theta):
+    # the paper's n = 1 theorem: Fa * F0 and Fa * F1 are locally univalent
+    # in the whole disk, so the search's outer circle passes
+    for right in (make_mapping("F0"), make_mapping("F1", theta=theta)):
+        assert univalency_radius(ConvolutionSpec(a, right)) == 1.0

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from harmconv import ConvolutionSpec, analysis, make_mapping, univalency_radius
 
 TOL = 1e-6
-# a plain bisection of [0, 0.999] to TOL takes 21 circles with the first one
-BISECTION_CIRCLES = 1 + math.ceil(math.log2(0.999 / TOL))
+OUTER = analysis.OUTER_RADIUS
+# a plain bisection of [0, OUTER] to TOL takes 21 circles with the first one
+BISECTION_CIRCLES = 1 + math.ceil(math.log2(OUTER / TOL))
 SPEC = ConvolutionSpec(0.5, make_mapping("F0"))  # unused by the fakes
 
 
@@ -28,14 +29,14 @@ def search(monkeypatch, fake):
 
 def check_search(fake, r, probes):
     # a radius passes when fake < 1 there (so nan fails); the first circle
-    # is 0.999, every later probe lies strictly inside the bracket the
+    # is OUTER, every later probe lies strictly inside the bracket the
     # earlier ones left, and the bracket keeps a pass at lo (0 is never
     # probed) and a failure at hi
     def passes(rho):
         return fake(rho) < 1
 
-    assert probes[0] == 0.999 and not passes(0.999)
-    lo, hi = 0.0, 0.999
+    assert probes[0] == OUTER and not passes(OUTER)
+    lo, hi = 0.0, OUTER
     for p in probes[1:]:
         assert lo < p < hi
         if passes(p):
@@ -97,7 +98,7 @@ def test_search_on_synthetic_maxima(monkeypatch, fake):
 
 def test_clean_circle_is_the_only_probe(monkeypatch):
     r, probes = search(monkeypatch, power(1.5, 3))
-    assert r == 1.0 and probes == [0.999]
+    assert r == 1.0 and probes == [OUTER]
 
 
 @settings(max_examples=200, deadline=None, database=None)
