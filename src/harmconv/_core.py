@@ -11,6 +11,7 @@ from .errors import ParameterError
 SINGULARITY_GUARD = 1e-9
 # a convolution derivative Hp this small counts as a critical point
 CRITICAL_TOL = 1e-14
+MAX_RADIUS = 0.999  # the outermost radius of scan grids, figures, conv_value
 
 
 def prepare(z):

@@ -18,10 +18,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._core import (CRITICAL_TOL, check_a, finish, instance, positive_int,
+from ._core import (MAX_RADIUS, check_a, finish, instance, positive_int,
                     prepare, real)
 from .convolution import (ConvolutionSpec, _derivatives, _log_jets,
-                          _odd_guard)
+                          _odd_guard, _ratio)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import _phi, make_mapping, term_table
@@ -107,8 +107,8 @@ class GridSpec:
         object.__setattr__(self, "radii", r)
         if len(r) == 0:
             raise ParameterError("at least one radius required")
-        if not all(0 < x <= 0.999 + 1e-12 for x in r):  # NaN fails too
-            raise ParameterError("radii must lie in (0, 0.999]")
+        if not all(0 < x <= MAX_RADIUS + 1e-12 for x in r):  # NaN fails too
+            raise ParameterError(f"radii must lie in (0, {MAX_RADIUS}]")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ParameterError("radii must be strictly increasing")
         object.__setattr__(self, "angles_count",
@@ -116,12 +116,12 @@ class GridSpec:
 
 
 def default_grid(radii_count: int = 60, angles_count: int = 720,
-                 max_radius: float = 0.999) -> GridSpec:
+                 max_radius: float = MAX_RADIUS) -> GridSpec:
     """Radii accumulate geometrically toward the outer edge, where the
     interesting behaviour lives."""
-    if not 0 < real(max_radius, "max_radius") <= 0.999:
+    if not 0 < real(max_radius, "max_radius") <= MAX_RADIUS:
         raise ParameterError(
-            f"max_radius must lie in (0, 0.999], got {max_radius!r}")
+            f"max_radius must lie in (0, {MAX_RADIUS}], got {max_radius!r}")
     gaps = np.geomspace(1 - 0.05, 1 - max_radius,
                         positive_int(radii_count, "radii_count"))
     radii = 1.0 - gaps
@@ -204,17 +204,14 @@ class UnivalencyReport:
 
 
 def _scan_row(spec, r, ring):
-    """Moduli of the dilatation on the circle |z| = r, nan at a critical
-    node, and the critical nodes.  ring holds K equispaced unit nodes in
-    angular order, so Fn's orbit takes n/gcd(n, K) logs per node; r <=
-    OUTER_RADIUS keeps the nodes clear of the unit-circle singularities."""
+    """Moduli of the dilatation on |z| = r, inf at a critical node
+    (``convolution._ratio``), and the critical nodes.  ring holds K equispaced
+    unit nodes in angular order, so Fn's orbit takes n/gcd(n, K) logs per
+    node; r <= OUTER_RADIUS keeps the nodes clear of the singularities."""
     z = r * ring
     t = term_table(spec.right)
-    Hp, Gp = _derivatives(spec.a, t, z, math.gcd(t.n, len(z)))
-    crit = np.abs(Hp) <= CRITICAL_TOL
-    mod = np.full(len(ring), np.nan)
-    mod[~crit] = np.abs(Gp[~crit] / Hp[~crit])
-    return mod, [complex(w) for w in z[crit]]
+    mod = np.abs(_ratio(*_derivatives(spec.a, t, z, math.gcd(t.n, len(z)))))
+    return mod, [complex(w) for w in z[np.isinf(mod)]]
 
 
 def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
@@ -223,7 +220,7 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
 
     Nodes where the denominator vanishes are listed as critical points and
     excluded from the max/violation statistics.  GridSpec keeps every node
-    within |z| <= 0.999, clear of the unit-circle singularities, so the
+    within |z| <= MAX_RADIUS, clear of the unit-circle singularities, so the
     report's ``skipped`` count is always 0.
     """
     instance(spec, ConvolutionSpec, "spec")
@@ -232,15 +229,13 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     scanned = [_scan_row(spec, r, ring) for r in grid.radii]
     criticals = [w for _, crit in scanned for w in crit]
     M = np.concatenate([mod for mod, _ in scanned])
-    valid = ~np.isnan(M)
-    if np.any(valid):
-        imax = int(np.nanargmax(M))
+    M[~np.isfinite(M)] = -1  # critical nodes: out of the max and violations
+    imax = int(np.argmax(M))
+    max_modulus, argmax = float("nan"), None
+    if M[imax] >= 0:
         max_modulus = float(M[imax])
         argmax = complex(grid.radii[imax // K] * ring[imax % K])
-    else:
-        max_modulus = float("nan")
-        argmax = None
-    vio = np.flatnonzero(valid & (M >= 1))
+    vio = np.flatnonzero(M >= 1)
     zs = np.asarray(grid.radii)[vio // K] * ring[vio % K]
     violations = list(zip(zs.tolist(), M[vio].tolist()))
     return UnivalencyReport(max_modulus=max_modulus, argmax=argmax,
@@ -250,6 +245,9 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
 
 # ---------------------------------------------------------------------------
 # the auxiliary function J
+
+PI_LO = 1.2246467991473532e-16  # pi - float(pi): pi + PI_LO is pi to 1e-32
+
 
 def _f1_odd_ratios(theta, z):
     """X = D_h/h1' and Y = D_g/(u z h1') of the right F1 factor, D_h and D_g
@@ -309,7 +307,9 @@ def J_boundary(theta, t) -> JBoundaryResult:
     0.  The real part of 2 + 2D/x is -2x phi(-x) for |x| < 1/2, phi(y) =
     (y - log1p y)/y^2, and 2 + 2 log|Q/P|/x elsewhere: no term cancels, so
     the value keeps its relative accuracy as theta -> +-pi, where x -> 0
-    under the 1/c."""
+    under the 1/c.  With s = k pi + sigma, |sigma| <= pi/2, sigma rounded once
+    from theta + t - k (pi + PI_LO), e^{is/2} = i^k e^{i sigma/2} keeps its
+    relative accuracy at s = 0, pi (J's zero) and 2 pi, unlike a rounded s."""
     th = make_mapping("F1", theta=theta).theta
     if not math.isfinite(real(t, "t")):
         raise ParameterError(f"t must be a finite number, got {t!r}")
@@ -333,22 +333,25 @@ def J_boundary(theta, t) -> JBoundaryResult:
         v = 4j * math.tan(th / 2)
         return JBoundaryResult(0.0, "limit-4i-tan", v)
 
-    s = th + tt
-    st, su = math.sin(tt), math.sin(s)
+    k = round((th + tt) / math.pi)
+    sigma = math.fsum((th, tt, -k * math.pi, -k * PI_LO))
+    half = 1j ** k * complex(math.cos(sigma / 2), math.sin(sigma / 2))
+    st, su = math.sin(tt), (-1) ** k * math.sin(sigma)  # su = sin s
     if st > 0 and su > 0:
         ab, case = math.pi, "A-B=pi"
     elif st < 0 and su < 0:
         ab, case = -math.pi, "A-B=-pi"
     else:
         ab, case = 0.0, "A-B=0"
-    c, P = math.cos(th / 2), math.sin(tt / 2) * math.sin(s / 2)
-    re = 2 * math.sin(tt / 2) ** 2 * su / c ** 2 * ab
+    sin_t, cos_t = math.sin(tt / 2), math.cos(tt / 2)
+    c, P = math.cos(th / 2), sin_t * half.imag
+    re = 2 * sin_t ** 2 * su / c ** 2 * ab
     x = c / P
     if abs(x) < 0.5:  # where 2 log|1 - x|/x would cancel the 2
         inner = -2 * x * float(_phi(np.float64(-x)))
     else:
-        inner = 2 + 2 / x * math.log(abs(math.cos(tt / 2) * math.cos(s / 2) / P))
-    pref = -2j * math.sin(tt / 2) * math.cos(s / 2) / c
+        inner = 2 + 2 / x * math.log(abs(cos_t * half.real / P))
+    pref = -2j * sin_t * half.real / c
     return JBoundaryResult(re, case, pref * complex(inner, 2 * ab / x))
 
 
@@ -372,9 +375,7 @@ def _circle_max(spec, r):
     maximum, so the circle fails the search's test either way.  So is a ring
     of radius below 0.01, where the derivatives' /z forms cancel."""
     step = 2 * math.pi / 1440
-    mod, crit = _scan_row(spec, r, np.exp(1j * step * np.arange(1440)))
-    if crit:
-        return math.inf
+    mod, _ = _scan_row(spec, r, np.exp(1j * step * np.arange(1440)))
     top = np.max(mod)
     if top >= 1 or r < 0.01:
         return float(top)
@@ -388,7 +389,7 @@ def _circle_max(spec, r):
         t = t - np.clip(np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0),
                         -step, step)
     Hp, Gp = _derivatives(spec.a, table, r * np.exp(1j * t))
-    return float(np.max(np.abs(Gp / Hp), initial=top))
+    return float(np.max(np.abs(_ratio(Hp, Gp)), initial=top))
 
 
 def _log_or_nan(m):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import CRITICAL_TOL, check_a, finish, instance, prepare
+from ._core import (CRITICAL_TOL, MAX_RADIUS, check_a, finish, instance,
+                    prepare)
 from .errors import CriticalPointError, DomainError, ParameterError
 from .mappings import MappingSpec, guard, make_mapping, term_table
 
@@ -26,7 +27,7 @@ class ConvolutionSpec:
     right: MappingSpec
 
     def __post_init__(self):
-        check_a(self.a)
+        object.__setattr__(self, "a", check_a(self.a))
         if (not isinstance(self.right, MappingSpec)
                 or self.right.family not in ("F0", "F1", "Fn")):
             raise ParameterError(
@@ -42,8 +43,7 @@ def conv_dilatation_f0(a, z):
     """
     check_a(a)
     arr, scalar = prepare(z)
-    if not np.all(np.abs(arr) < 1):
-        raise DomainError("conv_dilatation_f0 requires |z| < 1")
+    guard(arr, ())
     b1 = (1 + 3 * a) / 2
     b0 = (1 + a) / 2
     p = arr * arr + b1 * arr + b0
@@ -98,6 +98,13 @@ def _derivatives(a, t, z, g=1):
     return Hp, Gp
 
 
+def _ratio(Hp, Gp):
+    """Gp/Hp, inf where |Hp| <= CRITICAL_TOL: there Hp counts as zero, a
+    critical point, where the dilatation is undefined."""
+    crit = np.abs(Hp) <= CRITICAL_TOL
+    return np.divide(Gp, Hp, out=np.full_like(Hp, np.inf), where=~crit)
+
+
 def _log_jets(a, t, z):
     """(omega, L1, L2) at the 1-d points z != 0, unguarded: omega = Gp/Hp,
     L1 = omega'/omega and L2 = (log omega)''.  One ``odd_rests`` call gives
@@ -117,11 +124,13 @@ def _log_jets(a, t, z):
     H = part(1, 2 + z * z * rh, *hj)
     G = part(-1, 2 * (t.s - 1) + z * z * rg, *gj)
     lh, lg = H[1] / H[0], G[1] / G[0]
-    return G[0] / H[0], lg - lh, G[2] / G[0] - lg * lg - H[2] / H[0] + lh * lh
+    return (_ratio(H[0], G[0]), lg - lh,
+            G[2] / G[0] - lg * lg - H[2] / H[0] + lh * lh)
 
 
 def conv_dilatation(spec: ConvolutionSpec, z):
-    """The convolution's dilatation Gp/Hp.
+    """The convolution's dilatation Gp/Hp; CriticalPointError at the first
+    point where |Hp| <= CRITICAL_TOL (``_ratio``).
 
     For Fn its accuracy is absolute, not relative, where |Gp/Hp| is tiny
     (small |z|, large n): Gp sums terms of order one that cancel to about
@@ -130,13 +139,14 @@ def conv_dilatation(spec: ConvolutionSpec, z):
     and radii only compare |Gp/Hp| with 1, so they are unaffected.
     """
     arr, scalar = prepare(z)
-    Hp, Gp = map(np.asarray, conv_derivatives(spec, arr))
-    crit = np.abs(Hp) <= CRITICAL_TOL
-    if np.any(crit):
-        where = complex(arr[crit][0])
+    t = term_table(instance(spec, ConvolutionSpec, "spec").right)
+    _odd_guard(t, arr)
+    w = _ratio(*_derivatives(spec.a, t, arr))
+    if np.isinf(w).any():
+        where = complex(arr[np.isinf(w)][0])
         raise CriticalPointError(f"vanishing derivative at z = {where:.6f}",
                                  point=where)
-    return finish(Gp / Hp, scalar)
+    return finish(w, scalar)
 
 
 def conv_value(spec: ConvolutionSpec, z):
@@ -147,8 +157,8 @@ def conv_value(spec: ConvolutionSpec, z):
     quotients from 0 to z; a log term integrates to a dilogarithm pair.
     """
     arr, scalar = prepare(z)
-    if not np.all(np.abs(arr) <= 0.999):
-        raise DomainError("conv_value requires |z| <= 0.999")
+    if not np.all(np.abs(arr) <= MAX_RADIUS):
+        raise DomainError(f"conv_value requires |z| <= {MAX_RADIUS}")
     t = term_table(instance(spec, ConvolutionSpec, "spec").right)
     H, G = _values(spec.a, t, arr.reshape(-1))
     return finish((H + np.conj(G)).reshape(arr.shape), scalar)

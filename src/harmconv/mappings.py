@@ -259,14 +259,14 @@ def singular_points(spec: MappingSpec) -> np.ndarray:
 
 def guard(arr, sing):
     """DomainError unless every point lies in the open disk (NaN fails);
-    SingularityError within SINGULARITY_GUARD of one of sing, which all lie
-    on the unit circle, so only points that close to it are measured."""
+    SingularityError within SINGULARITY_GUARD of a point of sing (none if it
+    is empty), all on the unit circle: only points that close are measured."""
     mod = np.abs(arr)
     if not np.all(mod < 1):
         raise DomainError("evaluation requires |z| < 1")
     edge = arr[mod > 1 - SINGULARITY_GUARD]
-    d = np.abs(edge[:, None] - sing[None, :])
-    near = d.min(axis=1) < SINGULARITY_GUARD
+    d = np.abs(np.subtract.outer(edge, sing))
+    near = d.min(axis=1, initial=np.inf) < SINGULARITY_GUARD
     if np.any(near):
         s = complex(sing[int(np.argmin(d[np.argmax(near)]))])
         raise SingularityError(
@@ -310,8 +310,7 @@ def eval_f(spec: MappingSpec, z):
 def dilatation(spec: MappingSpec, z):
     """The second complex dilatation g'/h' in its closed form."""
     arr, scalar = prepare(z)
-    if not np.all(np.abs(arr) < 1):
-        raise DomainError("dilatation requires |z| < 1")
+    guard(arr, ())
     t = term_table(instance(spec, MappingSpec, "spec"))
     w = t.u * arr ** t.n
     return finish((w + t.b) / (1 + t.b * w), scalar)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import instance, positive_int, real
+from ._core import MAX_RADIUS, instance, positive_int, real
 from .convolution import ConvolutionSpec, conv_value
 from .errors import ParameterError
 
@@ -33,8 +33,8 @@ class FigureSpec:
                             ("width_px", 1), ("height_px", 1)):
             if positive_int(getattr(self, name), name) < least:
                 raise ParameterError(f"{name} must be >= {least}")
-        if not 0 < real(self.max_radius, "max_radius") <= 0.999:
-            raise ParameterError("max_radius must lie in (0, 0.999]")
+        if not 0 < real(self.max_radius, "max_radius") <= MAX_RADIUS:
+            raise ParameterError(f"max_radius must lie in (0, {MAX_RADIUS}]")
 
 
 def _curves(spec: ConvolutionSpec, fig: FigureSpec):
@@ -79,8 +79,8 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{fig.width_px}" height="{fig.height_px}" '
         f'viewBox="{_FMT % vb[0]} {_FMT % vb[1]} {_FMT % vb[2]} {_FMT % vb[3]}">',
-        # no sample is dropped: FigureSpec caps max_radius at 0.999, inside
-        # conv_value's domain; the comment stays for readers of the SVG
+        # no sample is dropped: FigureSpec caps max_radius at MAX_RADIUS,
+        # inside conv_value's domain; the comment stays for readers of the SVG
         "<!-- dropped samples: 0 -->",
         f'<g fill="none" stroke="{stroke}" stroke-width="{_FMT % sw}">',
     ]

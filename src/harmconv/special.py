@@ -1,8 +1,7 @@
-"""Complex elementary and special functions: the principal logarithm and the
-dilogarithm Li2 on the closed unit disk.
+"""The dilogarithm Li2 on the closed unit disk.
 
-Both functions accept scalars or numpy arrays and are safe to call
-concurrently; they hold no mutable state.
+It accepts scalars or numpy arrays and is safe to call concurrently; it
+holds no mutable state.
 """
 import math
 from fractions import Fraction
@@ -30,17 +29,6 @@ def _even_bernoulli_over_factorial(count):
 
 
 _B_EVEN = _even_bernoulli_over_factorial(_LOG_SERIES_TERMS)
-
-
-def log_principal(z):
-    """Principal-branch logarithm, arg in (-pi, pi].
-
-    Raises DomainError at z = 0 and at a non-finite z.
-    """
-    arr, scalar = prepare(z)
-    if np.any(arr == 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("log_principal needs a finite nonzero z")
-    return finish(np.log(arr), scalar)
 
 
 def li2(z):

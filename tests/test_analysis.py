@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from harmconv import (BoundaryDegenerateError, CohnInapplicableError,
-                      ConvolutionSpec, DomainError, GridSpec, J_boundary,
-                      ParameterError, Poly, UnivalencyReport, analysis,
-                      cohn_reduce, conv_derivatives, default_grid, eval_B,
+                      ConvolutionSpec, CriticalPointError, DomainError,
+                      GridSpec, J_boundary, ParameterError, Poly,
+                      UnivalencyReport, analysis, cohn_reduce,
+                      conv_derivatives, conv_dilatation, convolution,
+                      default_grid, eval_B,
                       eval_J, eval_g, eval_g_prime, eval_h, eval_h_prime,
                       hadamard, make_mapping, scan_dilatation,
                       series_derivative, series_eval, taylor_of_mapping,
@@ -365,6 +368,28 @@ class TestJBoundaryAccuracy:
             assert abs(m.value - r.value.conjugate()) <= scale, (theta, t)
             assert abs(m.re - r.re) <= scale, (theta, t)
 
+    @pytest.mark.parametrize("limit", ["pi-theta", "-theta", "pi", "0"])
+    def test_beside_the_limit_angles(self, limit):
+        # t = pi - theta is J's zero, where cos(s/2) -> 0; a rounded s =
+        # theta + t cost it about 1e-16/|pi - s| there (2.1e-5 relative at
+        # theta = 0.7, 1e-11 away), and near s = 0, 2 pi the same rounding
+        # hurt as theta -> +-pi, where two limit angles sit side by side
+        checked = 0
+        for theta in (0.7, -2, 3, math.pi - 1e-3, -math.pi + 1e-3,
+                      math.pi - 1e-6, -math.pi + 1e-8, math.pi - 1e-10, 1e-9):
+            x = {"pi-theta": math.pi - theta, "-theta": -theta,
+                 "pi": math.pi, "0": 0.0}[limit]
+            for k in (3, 6, 9, 11):
+                for sign in (1, -1):
+                    t = (x + sign * 10.0 ** -k) % (2 * math.pi)
+                    r = J_boundary(theta, t)
+                    if r.case.startswith("limit"):
+                        continue
+                    want = J_closed_form(theta, t)
+                    assert abs(r.value - want) <= 1e-13 * abs(want), (theta, t)
+                    checked += 1
+        assert checked >= 40
+
 
 class TestB:
     def test_negative_off_origin(self):
@@ -550,3 +575,49 @@ class TestRadius:
         spec = ConvolutionSpec(0.5, make_mapping("F0"))
         with pytest.raises(ParameterError):
             univalency_radius(spec, 1e-8)
+
+
+class TestCriticalPoints:
+    # Hp = 0 makes omega = Gp/Hp undefined; a node with |Hp| <= CRITICAL_TOL
+    # is a critical point.  Fn n=10, theta=-pi/2, a=0.7 has one in the disk.
+    SPEC = ConvolutionSpec(0.7, make_mapping("Fn", n=10, theta=-math.pi / 2))
+
+    @classmethod
+    def zero_of_Hp(cls):
+        z, h = complex(-0.98856615, 0.13960139), 1e-7
+        for _ in range(8):  # Newton on central differences
+            dH = (conv_derivatives(cls.SPEC, z + h)[0]
+                  - conv_derivatives(cls.SPEC, z - h)[0]) / (2 * h)
+            z -= conv_derivatives(cls.SPEC, z)[0] / dH
+        assert abs(conv_derivatives(cls.SPEC, z)[0]) <= 1e-14
+        return z
+
+    def test_conv_dilatation_raises_at_the_zero(self):
+        z0 = self.zero_of_Hp()
+        with pytest.raises(CriticalPointError) as err:
+            conv_dilatation(self.SPEC, np.array([0.5, z0, -0.3j]))
+        assert err.value.point == z0
+
+    def test_scan_row_marks_the_zero(self):
+        z0 = self.zero_of_Hp()
+        ring = np.exp(1j * cmath.phase(z0)) * np.exp(
+            2j * math.pi * np.arange(720) / 720)
+        mod, crit = analysis._scan_row(self.SPEC, abs(z0), ring)
+        assert len(crit) == 1 and abs(crit[0] - z0) <= 1e-15
+        assert np.isinf(mod[0]) and np.all(np.isfinite(mod[1:]))
+
+    def test_every_node_critical(self, monkeypatch):
+        # with every node critical the circle fails and the scan lists the
+        # nodes, leaving them out of the maximum and the violations
+        monkeypatch.setattr(convolution, "CRITICAL_TOL", math.inf)
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
+        assert analysis._circle_max(spec, 0.5) == math.inf
+        grid = GridSpec((0.3, 0.6), 8)
+        rep = scan_dilatation(spec, grid)
+        assert math.isnan(rep.max_modulus) and rep.argmax is None
+        assert len(rep.critical_points) == 16 and rep.violations == []
+        back = UnivalencyReport.from_json(rep.to_json())
+        assert math.isnan(back.max_modulus) and back.argmax is None
+        assert back.critical_points == rep.critical_points
+        assert back.violations == [] and back.grid == grid
+        assert back.to_json() == rep.to_json()

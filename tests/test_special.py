@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from harmconv import DomainError, li2
-from harmconv.special import log_principal
 
 PI2_6 = math.pi ** 2 / 6
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
@@ -22,19 +21,6 @@ def max_rel_error(z):
     with mp.workdps(40):
         return max(float(abs(mp.mpc(g) - ref) / abs(ref)) for g, ref in
                    zip(got, (mp.polylog(2, mp.mpc(w)) for w in z)))
-
-
-def test_log_principal_branch_convention():
-    assert log_principal(1.0) == 0
-    assert log_principal(-1.0) == pytest.approx(1j * math.pi)
-    assert log_principal(1j) == pytest.approx(0.5j * math.pi)
-
-
-def test_log_principal_rejects_zero():
-    with pytest.raises(DomainError):
-        log_principal(0.0)
-    with pytest.raises(DomainError):
-        log_principal(np.array([1.0, 0.0]))
 
 
 def test_li2_pinned_values():
