@@ -36,7 +36,7 @@ class Poly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = prepare(self.coeffs)[0]
         if c.ndim != 1 or len(c) == 0 or not np.isfinite(c).all():
             raise ParameterError("coeffs must be finite, 1-d and non-empty")
         c = np.trim_zeros(c, "b")
@@ -369,11 +369,12 @@ def _circle_max(spec, r):
     each of the ring's local maxima.  With L1 = omega'/omega and L2 = (log
     omega)'' (``_log_jets``), phi' = Re(i z L1) and phi'' = Re(-z L1 - z^2
     L2); a step is taken only where phi'' < 0 and is clipped to one ring
-    step.  The result is the largest |omega| evaluated, the ring's and the
-    steps', so it is a value at a point of the circle.  A ring that already
-    reaches 1 is returned unrefined: a sample is a lower bound of the
-    maximum, so the circle fails the search's test either way.  So is a ring
-    of radius below 0.01, where the derivatives' /z forms cancel."""
+    step.  The result is the largest |omega| of the ring and of four
+    ``_log_jets`` calls, at the peaks and after each step, so it is a value
+    at a point of the circle.  A ring that already reaches 1 is returned
+    unrefined: a sample is a lower bound of the maximum, so the circle fails
+    the search's test either way.  So is a ring of radius below 0.01, where
+    the derivatives' /z forms cancel."""
     step = 2 * math.pi / 1440
     mod, _ = _scan_row(spec, r, np.exp(1j * step * np.arange(1440)))
     top = np.max(mod)
@@ -381,15 +382,15 @@ def _circle_max(spec, r):
         return float(top)
     t = step * np.flatnonzero((mod >= np.roll(mod, 1)) & (mod > np.roll(mod, -1)))
     table = term_table(spec.right)
-    for _ in range(3):
+    for k in range(4):
         z = r * np.exp(1j * t)
         w, L1, L2 = _log_jets(spec.a, table, z)
         top = np.max(np.abs(w), initial=top)
-        d1, d2 = np.real(1j * z * L1), np.real(-z * L1 - z * z * L2)
-        t = t - np.clip(np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0),
-                        -step, step)
-    Hp, Gp = _derivatives(spec.a, table, r * np.exp(1j * t))
-    return float(np.max(np.abs(_ratio(Hp, Gp)), initial=top))
+        if k < 3:
+            d1, d2 = np.real(1j * z * L1), np.real(-z * L1 - z * z * L2)
+            t = t - np.clip(np.divide(d1, d2, out=np.zeros_like(d1),
+                                      where=d2 < 0), -step, step)
+    return float(top)
 
 
 def _log_or_nan(m):

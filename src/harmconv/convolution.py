@@ -8,7 +8,8 @@ convolution's dilatation is Gp/Hp.
 
 Convolving with z/(1-z) is the identity, and with L it integrates the odd
 quotient (h(t) - h(-t))/t from 0 to z.  Both routes are closed forms in
-the right factor's terms, with no quadrature and no small-|z| branch.
+the right factor's terms, with no quadrature and no small-|z| branch, and
+``_left`` alone combines them, for values, derivatives and jets alike.
 """
 from dataclasses import dataclass
 
@@ -51,11 +52,16 @@ def conv_dilatation_f0(a, z):
     return finish(-arr * p / pstar, scalar)
 
 
+def _left(a, f, D):
+    """(H, G) = ((1+a)/2 f_h + (1-a)/4 D_h, (1+a)/2 f_g - (1-a)/4 D_g): the
+    left factor's rule, written only here, for values or any derivative."""
+    (fh, fg), (dh, dg) = f, D
+    return (1 + a) / 2 * fh + (1 - a) / 4 * dh, (1 + a) / 2 * fg - (1 - a) / 4 * dg
+
+
 def _values(a, t, z):
     """(H, G) at the 1-d points z for the right factor's table t."""
-    h, g = t.parts(z)
-    ih, ig = t.odd_integrals(z)
-    return (1 + a) / 2 * h + (1 - a) / 4 * ih, (1 + a) / 2 * g - (1 - a) / 4 * ig
+    return _left(a, t.parts(z), t.odd_integrals(z))
 
 
 def _odd_guard(t, arr):
@@ -91,11 +97,8 @@ def conv_derivatives(spec: ConvolutionSpec, z):
 def _derivatives(a, t, z, g=1):
     """(Hp, Gp) at the points z for the right factor's table t, unguarded;
     g > 1 only for a ring of nodes (see ``TermTable.odd_rests``)."""
-    hp, gp = t.primes(z)
     rh, rg = t.odd_rests(z, g)  # D_h = 2 + z^2 rh, D_g = 2(s-1) + z^2 rg
-    Hp = (1 - a) / 4 * (2 + z * z * rh) + (1 + a) / 2 * hp
-    Gp = -(1 - a) / 4 * (2 * (t.s - 1) + z * z * rg) + (1 + a) / 2 * gp
-    return Hp, Gp
+    return _left(a, t.primes(z), (2 + z * z * rh, 2 * (t.s - 1) + z * z * rg))
 
 
 def _ratio(Hp, Gp):
@@ -112,20 +115,15 @@ def _log_jets(a, t, z):
     f''(-z) - 2D')/z, with f', f'' and f''' rational (``TermTable.jets``),
     need no further logarithm; each /z costs about eps/|z| of D's scale."""
     rh, rg = t.odd_rests(z)
-    hj, gj = t.jets(np.stack((z, -z)))
-
-    def part(sign, D, f1, f2, f3):
-        # (F, F', F'') for F = sign (1-a)/4 D + (1+a)/2 f', each f at (z, -z)
-        D1 = (f1[0] + f1[1] - D) / z
-        D2 = (f2[0] - f2[1] - 2 * D1) / z
-        return [sign * (1 - a) / 4 * d + (1 + a) / 2 * f[0]
-                for d, f in zip((D, D1, D2), (f1, f2, f3))]
-
-    H = part(1, 2 + z * z * rh, *hj)
-    G = part(-1, 2 * (t.s - 1) + z * z * rg, *gj)
-    lh, lg = H[1] / H[0], G[1] / G[0]
-    return (_ratio(H[0], G[0]), lg - lh,
-            G[2] / G[0] - lg * lg - H[2] / H[0] + lh * lh)
+    (h1, h2, h3), (g1, g2, g3) = t.jets(np.stack((z, -z)))  # each at (z, -z)
+    D = 2 + z * z * rh, 2 * (t.s - 1) + z * z * rg
+    D1 = (h1[0] + h1[1] - D[0]) / z, (g1[0] + g1[1] - D[1]) / z
+    D2 = (h2[0] - h2[1] - 2 * D1[0]) / z, (g2[0] - g2[1] - 2 * D1[1]) / z
+    H0, G0 = _left(a, (h1[0], g1[0]), D)
+    H1, G1 = _left(a, (h2[0], g2[0]), D1)
+    H2, G2 = _left(a, (h3[0], g3[0]), D2)
+    lh, lg = H1 / H0, G1 / G0
+    return _ratio(H0, G0), lg - lh, G2 / G0 - lg * lg - H2 / H0 + lh * lh
 
 
 def conv_dilatation(spec: ConvolutionSpec, z):

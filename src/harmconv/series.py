@@ -23,7 +23,7 @@ class TruncatedSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = prepare(self.coeffs)[0]
         if c.ndim != 1 or len(c) == 0 or not np.isfinite(c).all():
             raise ParameterError("coeffs must be finite, 1-d and non-empty")
         object.__setattr__(self, "coeffs", c)

@@ -5,13 +5,14 @@ import pytest
 
 from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       J_boundary, MappingSpec, ParameterError, Poly, TableRow,
-                      TruncatedSeries, compute_row, compute_table,
-                      conv_derivatives, conv_dilatation,
+                      TruncatedSeries, cohn_reduce, compute_row,
+                      compute_table, conv_derivatives, conv_dilatation,
                       conv_dilatation_f0, conv_parts_f1, conv_value,
                       default_grid, dilatation, eval_B, eval_h, eval_J,
                       hadamard, li2, make_mapping, render_webbing,
                       scan_dilatation, series_derivative, series_div,
-                      series_eval, taylor_of_mapping, univalency_radius)
+                      series_eval, shear_series, taylor_of_mapping,
+                      univalency_radius)
 from harmconv.convolution import _log_jets
 from harmconv.mappings import term_table
 
@@ -220,6 +221,34 @@ class TestValues:
         got = conv_value(ConvolutionSpec(a, right), zs)
         assert np.max(np.abs(got - want)) < 1e-9
 
+    @pytest.mark.parametrize("a", [0.5, -0.5])
+    @pytest.mark.parametrize("right", [
+        make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
+        make_mapping("Fn", n=2, theta=math.pi),
+        make_mapping("Fn", n=10, theta=-math.pi / 2),
+        make_mapping("Fn", n=3, theta=math.pi - 1e-6)],
+        ids=["F0", "F1-pi-over-6", "n2-pi", "n10-minus-half-pi", "n3-near-pi"])
+    def test_derivatives_are_the_values_derivatives_at_0_99(self, a, right):
+        # the value route (odd integrals, li2) against the derivative route
+        # (odd quotients) where no affordable series reaches: Richardson
+        # central differences of f = H + conj(G) give H' = (f_x - i f_y)/2
+        # and conj(G') = (f_x + i f_y)/2, with an O(h^4) error of about
+        # (h/d)^4 at a distance d from a singular point; the nodes sit half
+        # a step off z = 1 and -1, so d >= 0.13 from those two
+        spec = ConvolutionSpec(a, right)
+        z = 0.99 * np.exp(1j * math.pi * (2 * np.arange(24) + 1) / 24)
+
+        def central(h):
+            fx, fy = ((conv_value(spec, z + s) - conv_value(spec, z - s)) / (2 * h)
+                      for s in (h, 1j * h))
+            return (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
+
+        h = 1e-4
+        Hp, Gp = conv_derivatives(spec, z)
+        for got, lo, hi in zip((Hp, np.conj(Gp)), central(h), central(h / 2)):
+            want = (4 * hi - lo) / 3
+            assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) < 1e-8
+
     def test_radius_cap(self):
         spec = ConvolutionSpec(0.5, make_mapping("F1", theta=0.5))
         with pytest.raises(DomainError):
@@ -339,6 +368,12 @@ SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
     (lambda: eval_h(F0_SPEC, 0.5), ParameterError),
     (lambda: taylor_of_mapping(F0_SPEC, 8), ParameterError),
     (lambda: dilatation("F0", 0.5), ParameterError),
+    (lambda: Poly(["a"]), ParameterError),
+    (lambda: TruncatedSeries([1, "x"]), ParameterError),
+    (lambda: Poly(object()), ParameterError),
+    (lambda: cohn_reduce(Poly([2.0])), ParameterError),
+    (lambda: shear_series(TruncatedSeries([1, 1, 1]),
+                          TruncatedSeries([0, 0, 0])), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -362,7 +397,9 @@ SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
         "conv-dilatation-mapping-spec", "value-mapping-spec",
         "render-mapping-spec", "scan-grid-tuple", "render-figure-none",
         "h-convolution-spec", "series-convolution-spec",
-        "mapping-dilatation-string"])
+        "mapping-dilatation-string", "poly-coeff-string",
+        "series-coeff-string", "poly-object", "cohn-reduce-degree-zero",
+        "shear-phi-nonzero-at-0"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

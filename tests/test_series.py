@@ -60,6 +60,11 @@ def test_series_derivative():
     assert np.allclose(d.coeffs, [1, 2, 3])
 
 
+def test_series_derivative_of_a_constant_is_the_zero_series():
+    d = series_derivative(TruncatedSeries([3.0]))
+    assert d.order == 0 and np.array_equal(d.coeffs, [0])
+
+
 def test_series_div_self_is_one():
     s = TruncatedSeries([2.0, -1.0, 0.5, 0.25])
     q = series_div(s, s)
