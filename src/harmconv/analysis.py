@@ -20,8 +20,8 @@ import numpy as np
 
 from ._core import (MAX_RADIUS, check_a, finish, instance, positive_int,
                     prepare, real)
-from .convolution import (ConvolutionSpec, _derivatives, _log_jets,
-                          _odd_guard, _ratio)
+from .convolution import (ConvolutionSpec, _log_jets, _odd_guard,
+                          _ring_dilatation)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import _phi, make_mapping, term_table
@@ -203,17 +203,6 @@ class UnivalencyReport:
         return cls.from_dict(json.loads(s))
 
 
-def _scan_row(spec, r, ring):
-    """Moduli of the dilatation on |z| = r, inf at a critical node
-    (``convolution._ratio``), and the critical nodes.  ring holds K equispaced
-    unit nodes in angular order, so Fn's orbit takes n/gcd(n, K) logs per
-    node; r <= OUTER_RADIUS keeps the nodes clear of the singularities."""
-    z = r * ring
-    t = term_table(spec.right)
-    mod = np.abs(_ratio(*_derivatives(spec.a, t, z, math.gcd(t.n, len(z)))))
-    return mod, [complex(w) for w in z[np.isinf(mod)]]
-
-
 def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     """Evaluate |dilatation| at every grid node, row-major over radii then
     angles.
@@ -226,18 +215,19 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     instance(spec, ConvolutionSpec, "spec")
     K = instance(grid, GridSpec, "grid").angles_count
     ring = np.exp(2j * math.pi * np.arange(K) / K)
-    scanned = [_scan_row(spec, r, ring) for r in grid.radii]
-    criticals = [w for _, crit in scanned for w in crit]
-    M = np.concatenate([mod for mod, _ in scanned])
+    M = np.abs([_ring_dilatation(spec, r, ring) for r in grid.radii]).ravel()
+
+    def nodes(i):  # the row-major node map
+        return np.asarray(grid.radii)[i // K] * ring[i % K]
+
+    criticals = nodes(np.flatnonzero(np.isinf(M))).tolist()
     M[~np.isfinite(M)] = -1  # critical nodes: out of the max and violations
     imax = int(np.argmax(M))
     max_modulus, argmax = float("nan"), None
     if M[imax] >= 0:
-        max_modulus = float(M[imax])
-        argmax = complex(grid.radii[imax // K] * ring[imax % K])
+        max_modulus, argmax = float(M[imax]), complex(nodes(imax))
     vio = np.flatnonzero(M >= 1)
-    zs = np.asarray(grid.radii)[vio // K] * ring[vio % K]
-    violations = list(zip(zs.tolist(), M[vio].tolist()))
+    violations = list(zip(nodes(vio).tolist(), M[vio].tolist()))
     return UnivalencyReport(max_modulus=max_modulus, argmax=argmax,
                             violations=violations, grid=grid,
                             critical_points=criticals)
@@ -376,15 +366,14 @@ def _circle_max(spec, r):
     the search's test either way.  So is a ring of radius below 0.01, where
     the derivatives' /z forms cancel."""
     step = 2 * math.pi / 1440
-    mod, _ = _scan_row(spec, r, np.exp(1j * step * np.arange(1440)))
+    mod = np.abs(_ring_dilatation(spec, r, np.exp(1j * step * np.arange(1440))))
     top = np.max(mod)
     if top >= 1 or r < 0.01:
         return float(top)
     t = step * np.flatnonzero((mod >= np.roll(mod, 1)) & (mod > np.roll(mod, -1)))
-    table = term_table(spec.right)
     for k in range(4):
         z = r * np.exp(1j * t)
-        w, L1, L2 = _log_jets(spec.a, table, z)
+        w, L1, L2 = _log_jets(spec, z)
         top = np.max(np.abs(w), initial=top)
         if k < 3:
             d1, d2 = np.real(1j * z * L1), np.real(-z * L1 - z * z * L2)

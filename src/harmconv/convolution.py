@@ -60,7 +60,7 @@ def _left(a, f, D):
 
 
 def _values(a, t, z):
-    """(H, G) at the 1-d points z for the right factor's table t."""
+    """(H, G) at the points z, of any shape, for the right factor's table t."""
     return _left(a, t.parts(z), t.odd_integrals(z))
 
 
@@ -76,8 +76,8 @@ def conv_parts_f1(a, theta, z):
     t = term_table(make_mapping("F1", theta=theta))
     arr, scalar = prepare(z)
     _odd_guard(t, arr)
-    H, G = _values(a, t, arr.reshape(-1))
-    return finish(H.reshape(arr.shape), scalar), finish(G.reshape(arr.shape), scalar)
+    H, G = _values(a, t, arr)
+    return finish(H, scalar), finish(G, scalar)
 
 
 def conv_derivatives(spec: ConvolutionSpec, z):
@@ -108,12 +108,21 @@ def _ratio(Hp, Gp):
     return np.divide(Gp, Hp, out=np.full_like(Hp, np.inf), where=~crit)
 
 
-def _log_jets(a, t, z):
-    """(omega, L1, L2) at the 1-d points z != 0, unguarded: omega = Gp/Hp,
-    L1 = omega'/omega and L2 = (log omega)''.  One ``odd_rests`` call gives
-    the odd quotient D, and D' = (f'(z) + f'(-z) - D)/z and D'' = (f''(z) -
-    f''(-z) - 2D')/z, with f', f'' and f''' rational (``TermTable.jets``),
+def _ring_dilatation(spec, r, ring):
+    """Gp/Hp at the nodes r ring, inf at a critical node (``_ratio``),
+    unguarded.  ring holds K equispaced unit nodes in angular order, so Fn's
+    orbit takes n/gcd(n, K) logs per node (``TermTable.odd_rests``)."""
+    t = term_table(spec.right)
+    return _ratio(*_derivatives(spec.a, t, r * ring, np.gcd(t.n, len(ring))))
+
+
+def _log_jets(spec, z):
+    """(omega, L1, L2) of spec at the 1-d points z != 0, unguarded: omega =
+    Gp/Hp, L1 = omega'/omega, L2 = (log omega)''.  One ``odd_rests`` call
+    gives the odd quotient D, and D' = (f'(z) + f'(-z) - D)/z and D'' =
+    (f''(z) - f''(-z) - 2D')/z, with f', f'' and f''' rational (``jets``),
     need no further logarithm; each /z costs about eps/|z| of D's scale."""
+    a, t = spec.a, term_table(spec.right)
     rh, rg = t.odd_rests(z)
     (h1, h2, h3), (g1, g2, g3) = t.jets(np.stack((z, -z)))  # each at (z, -z)
     D = 2 + z * z * rh, 2 * (t.s - 1) + z * z * rg
@@ -158,5 +167,5 @@ def conv_value(spec: ConvolutionSpec, z):
     if not np.all(np.abs(arr) <= MAX_RADIUS):
         raise DomainError(f"conv_value requires |z| <= {MAX_RADIUS}")
     t = term_table(instance(spec, ConvolutionSpec, "spec").right)
-    H, G = _values(spec.a, t, arr.reshape(-1))
-    return finish((H + np.conj(G)).reshape(arr.shape), scalar)
+    H, G = _values(spec.a, t, arr)
+    return finish(H + np.conj(G), scalar)

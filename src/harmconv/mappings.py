@@ -176,12 +176,12 @@ class TermTable(NamedTuple):
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
         near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
         r = self.r if near.all() else np.append(self.r, (1 - d, 1))
-        logs = li2(np.multiply.outer((-1, 1), np.outer(r, z))) if len(r) else 0
-        ih = self.alpha * L + (self.c @ (logs[0][:m] - logs[1][:m]) if m else 0)
+        rz = np.multiply.outer(r, z)  # chi = Li2(-rz) - Li2(rz) per root
+        chi = np.subtract(*li2(np.multiply.outer((-1, 1), rz))) if len(r) else 0
+        ih = self.alpha * L + (np.tensordot(self.c, chi[:m], 1) if m else 0)
         pair = np.empty_like(z)  # -2k F
         if len(r) > m:
-            pair = self.k / d * ((logs[0][m] - logs[1][m] - logs[0][m + 1]
-                                  + logs[1][m + 1]) / d - L)
+            pair = self.k / d * ((chi[m] - chi[m + 1]) / d - L)
         if near.any():
             pair[near] = -2 * self.k * _chi_series(d, w[near], v[near], L[near] / 2)
         return ih + pair, self.s * L - ih - pair

@@ -156,7 +156,7 @@ class TestScan:
         ring = np.exp(2j * math.pi * np.arange(360) / 360)
         want = []
         for r in grid.radii:
-            mod, _ = analysis._scan_row(spec, r, ring)
+            mod = np.abs(convolution._ring_dilatation(spec, r, ring))
             want += [(complex(r * ring[k]), float(mod[k]))
                      for k in np.flatnonzero(mod >= 1)]
         got = scan_dilatation(spec, grid).violations
@@ -425,8 +425,8 @@ class TestRingRoute:
         z = R * ring
         t = term_table(spec.right)
         Hp, Gp = _derivatives(spec.a, t, z, math.gcd(t.n, K))
-        mod, crit = analysis._scan_row(spec, R, ring)
-        assert not crit and np.array_equal(mod, np.abs(Gp / Hp))
+        mod = np.abs(convolution._ring_dilatation(spec, R, ring))
+        assert not np.isinf(mod).any() and np.array_equal(mod, np.abs(Gp / Hp))
         Hp0, Gp0 = conv_derivatives(spec, z)
         return Gp / Hp, Gp0 / Hp0
 
@@ -524,14 +524,14 @@ class TestRadius:
                 return f(*args)
             return wrapped
 
-        for name in ("_derivatives", "_log_jets"):
+        for name in ("_ring_dilatation", "_log_jets"):
             monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
         ring = np.exp(1j * (2 * math.pi / 1440) * np.arange(1440))  # its ring
-        top = np.max(analysis._scan_row(spec, 0.99, ring)[0])
+        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.99, ring)))
         calls.clear()
         assert top >= 1 and analysis._circle_max(spec, 0.99) == top
-        assert calls == ["_derivatives"]  # the ring alone
-        top = np.max(analysis._scan_row(spec, 0.9, ring)[0])
+        assert calls == ["_ring_dilatation"]  # the ring alone
+        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.9, ring)))
         m = analysis._circle_max(spec, 0.9)
         assert top <= m < 1
         assert abs(m - self.dense_max(spec, 0.9)) <= 1e-12
@@ -602,7 +602,8 @@ class TestCriticalPoints:
         z0 = self.zero_of_Hp()
         ring = np.exp(1j * cmath.phase(z0)) * np.exp(
             2j * math.pi * np.arange(720) / 720)
-        mod, crit = analysis._scan_row(self.SPEC, abs(z0), ring)
+        mod = np.abs(convolution._ring_dilatation(self.SPEC, abs(z0), ring))
+        crit = abs(z0) * ring[np.isinf(mod)]
         assert len(crit) == 1 and abs(crit[0] - z0) <= 1e-15
         assert np.isinf(mod[0]) and np.all(np.isfinite(mod[1:]))
 
