@@ -14,12 +14,20 @@ CRITICAL_TOL = 1e-14
 MAX_RADIUS = 0.999  # the outermost radius of scan grids, figures, conv_value
 
 
-def prepare(z):
+def prepare(z, name="points"):
     """Coerce numbers to a complex array; report whether it was scalar."""
     arr = np.asarray(z)
     if arr.dtype.kind not in "iufc":
-        raise ParameterError(f"points must be numbers, got dtype {arr.dtype}")
+        raise ParameterError(f"{name} must be numbers, got dtype {arr.dtype}")
     return arr.astype(complex, copy=False), arr.ndim == 0
+
+
+def coefficients(c):
+    """c as a complex array; ParameterError unless 1-d, non-empty, finite."""
+    arr = prepare(c, "coefficients")[0]
+    if arr.ndim != 1 or len(arr) == 0 or not np.isfinite(arr).all():
+        raise ParameterError("coefficients must be finite, 1-d and non-empty")
+    return arr
 
 
 def finish(arr, scalar):

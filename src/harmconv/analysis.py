@@ -1,15 +1,15 @@
 """Univalency decision machinery.
 
-Contains a Schur-Cohn zero counter for polynomials in the unit disk,
-grid scans of convolution dilatations with violation reporting, the
-auxiliary function J, whose boundary values come from one closed form in
-which no term cancels (the real part also from the piecewise argument
-analysis), and the univalency radius by a safeguarded regula falsi on the
-log of the circle maximum of |Gp/Hp|, which is nondecreasing in r while Hp
-has no zeros (maximum modulus principle), out to |z| = 1 - 1e-6.  Each
-circle maximum is the top of a 1440-node ring, refined at the ring's peaks
-by Newton steps in angle on the closed-form first and second derivatives of
-log(Gp/Hp).
+Contains a Schur-Cohn zero counter for polynomials in the unit disk, grid
+scans of convolution dilatations with violation reporting, the auxiliary
+function J, whose boundary values come from one closed form in which no
+term cancels (the real part also from the piecewise argument analysis),
+and the univalency radius by a safeguarded regula falsi on the log of the
+circle maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no
+zeros (maximum modulus principle), out to |z| = 1 - 1e-6.  Each circle
+maximum is the top of a 1440-node ring, refined at the ring's peaks by
+Newton steps in angle on log(Gp/Hp).  The dilatation on a ring and its
+Newton jets come from ``convolution`` by spec; only J reads a term table.
 """
 import json
 import math
@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._core import (MAX_RADIUS, check_a, finish, instance, positive_int,
-                    prepare, real)
+from ._core import (MAX_RADIUS, check_a, coefficients, finish, instance,
+                    positive_int, prepare, real)
 from .convolution import (ConvolutionSpec, _log_jets, _odd_guard,
                           _ring_dilatation)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
@@ -36,10 +36,7 @@ class Poly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = prepare(self.coeffs)[0]
-        if c.ndim != 1 or len(c) == 0 or not np.isfinite(c).all():
-            raise ParameterError("coeffs must be finite, 1-d and non-empty")
-        c = np.trim_zeros(c, "b")
+        c = np.trim_zeros(coefficients(self.coeffs), "b")
         if len(c) == 0:
             raise ParameterError("the zero polynomial has no defined degree")
         object.__setattr__(self, "coeffs", c)
@@ -216,18 +213,15 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     K = instance(grid, GridSpec, "grid").angles_count
     ring = np.exp(2j * math.pi * np.arange(K) / K)
     M = np.abs([_ring_dilatation(spec, r, ring) for r in grid.radii]).ravel()
-
-    def nodes(i):  # the row-major node map
-        return np.asarray(grid.radii)[i // K] * ring[i % K]
-
-    criticals = nodes(np.flatnonzero(np.isinf(M))).tolist()
+    z = np.multiply.outer(grid.radii, ring).ravel()  # the row-major node map
+    criticals = z[np.isinf(M)].tolist()
     M[~np.isfinite(M)] = -1  # critical nodes: out of the max and violations
     imax = int(np.argmax(M))
     max_modulus, argmax = float("nan"), None
     if M[imax] >= 0:
-        max_modulus, argmax = float(M[imax]), complex(nodes(imax))
+        max_modulus, argmax = float(M[imax]), complex(z[imax])
     vio = np.flatnonzero(M >= 1)
-    violations = list(zip(nodes(vio).tolist(), M[vio].tolist()))
+    violations = list(zip(z[vio].tolist(), M[vio].tolist()))
     return UnivalencyReport(max_modulus=max_modulus, argmax=argmax,
                             violations=violations, grid=grid,
                             critical_points=criticals)

@@ -131,17 +131,17 @@ class TermTable(NamedTuple):
         /m^2 - 1/(1-z^2)) for the pair, m = 1 - (1-d) z^2, with E(y) =
         (atanh(y)/y - 1)/y^2.
 
-        The lone logs are r = 1 and the orbit r_j = (1-d) zeta^j, zeta =
-        e^{-2 pi i/n}, j = 1..n-1 (j = 0 is the pair's root).  When g > 1
-        divides n and K = len(z), and z is a ring z_0 e^{2 pi i k/K}, k < K,
-        the terms j = c + t n/g, t < g, of a class c < n/g share one E:
-        r_j z_k = r_c z_(k - tK/g), so term j reads its class's E rotated by
-        tK/g nodes.  With the nodes as g rows of K/g, that is one g x g
-        circulant of the class's weights, and the orbit costs n/g logs per
-        node, not n - 1.  g = 1 takes any z.  The classes go through one
-        ``_atanh_rest`` as classes x points, in blocks of at most _ORBIT_BLOCK
-        elements: a few points take one call, a large grid one class a call.
-        """
+        The lone logs are r = 1 and the orbit r_j = (1-d) zeta^j, j = 1..n-1,
+        zeta = e^{-2 pi i/n}; j = 0 is the pair's root, weight 0, but at d = 0
+        it is 1 and takes the r = 1 log.  When g > 1 divides n and K = len(z),
+        and z is a ring z_0 e^{2 pi i k/K}, k < K, the terms j = c + t n/g,
+        t < g, of a class c < n/g share one E: r_j z_k = r_c z_(k - tK/g), so
+        term j reads its class's E rotated by tK/g nodes.  With the nodes as g
+        rows of K/g, that is one g x g circulant of the class's weights, and
+        the orbit costs n/g logs per node, not n - 1.  g = 1 takes any z.  The
+        classes go through one ``_atanh_rest`` as classes x points, in blocks
+        of at most _ORBIT_BLOCK elements: a few points take one call, a large
+        grid one class a call."""
         z2 = z * z
         q = 1 / (1 - z2)
         m = 1 - (1 - self.d) * z2
@@ -149,10 +149,11 @@ class TermTable(NamedTuple):
         e = self.d * _atanh_rest(-self.d * z / m) / (m * m) if self.d else 0
         logs = 2 * self.k / m * (e - q)
         if self.n > 1:  # the lone logs, at r = 1 and on the orbit
-            logs = logs - 2 * self.c[0] * _atanh_rest(z)
-            # the orbit's weights and roots, j = 0..n-1 as [t, c]; j = 0 is
-            # the pair's root, weight 0, so at g = 1 its class is skipped
-            w = np.append(0, 2 * self.c[1:] * self.r[1:] ** 3).reshape(g, -1)
+            if self.d:  # else 1 - d = 1: the r = 1 log is the orbit's j = 0
+                logs = logs - 2 * self.c[0] * _atanh_rest(z)
+            # the orbit's weights and roots, j = 0..n-1 as [t, c]
+            w = np.append(0 if self.d else 2 * self.c[0],
+                          2 * self.c[1:] * self.r[1:] ** 3).reshape(g, -1)
             roots = np.append(1 - self.d, self.r[1:])
             turn = np.subtract.outer(np.arange(g), np.arange(g)) % g
             circulants = w.T[:, turn]  # [c, p, s] = w[(p - s) mod g, c]
@@ -171,17 +172,18 @@ class TermTable(NamedTuple):
         c (Li2(-rz) - Li2(rz)) per lone log, for h; s L minus that for g.
         F, the second divided difference of chi_2(rz) at r = 1, 1, 1-d, is
         ``_chi_series`` where rho = |d| max(1, |z/(1-z)|, |z/(1+z)|) < 1/4,
-        else four Li2 values (two more logs), where 1/d^2 <= 16 (rho/d)^2."""
+        else chi = Li2(-rz) - Li2(rz) at r = 1 - d and r = 1 (r[0] for n > 1)
+        over d^2, where 1/d^2 <= 16 (rho/d)^2.  z may have any shape."""
         L = 2 * z * (1 + z * z * _atanh_rest(z))
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
         near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
-        r = self.r if near.all() else np.append(self.r, (1 - d, 1))
+        r = self.r if near.all() else np.append(self.r if m else 1, 1 - d)
         rz = np.multiply.outer(r, z)  # chi = Li2(-rz) - Li2(rz) per root
         chi = np.subtract(*li2(np.multiply.outer((-1, 1), rz))) if len(r) else 0
         ih = self.alpha * L + (np.tensordot(self.c, chi[:m], 1) if m else 0)
         pair = np.empty_like(z)  # -2k F
         if len(r) > m:
-            pair = self.k / d * ((chi[m] - chi[m + 1]) / d - L)
+            pair = self.k / d * ((chi[-1] - chi[0]) / d - L)  # r[0] = 1
         if near.any():
             pair[near] = -2 * self.k * _chi_series(d, w[near], v[near], L[near] / 2)
         return ih + pair, self.s * L - ih - pair

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import finish, instance, positive_int, prepare
+from ._core import coefficients, finish, instance, positive_int, prepare
 from .errors import ParameterError
 from .mappings import MappingSpec
 
@@ -23,10 +23,7 @@ class TruncatedSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = prepare(self.coeffs)[0]
-        if c.ndim != 1 or len(c) == 0 or not np.isfinite(c).all():
-            raise ParameterError("coeffs must be finite, 1-d and non-empty")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", coefficients(self.coeffs))
 
     @property
     def order(self) -> int:

@@ -12,7 +12,7 @@ from harmconv import (BoundaryDegenerateError, CohnInapplicableError,
                       conv_derivatives, conv_dilatation, convolution,
                       default_grid, eval_B,
                       eval_J, eval_g, eval_g_prime, eval_h, eval_h_prime,
-                      hadamard, make_mapping, scan_dilatation,
+                      hadamard, make_mapping, mappings, scan_dilatation,
                       series_derivative, series_eval, taylor_of_mapping,
                       univalency_radius, zeros_in_unit_disk)
 from harmconv.convolution import _derivatives
@@ -453,6 +453,23 @@ class TestRingRoute:
                 for a in (0.5, -0.5):
                     w, w0 = self.routes(ConvolutionSpec(a, right), R, K)
                     assert np.array_equal(w, w0)
+
+    @pytest.mark.parametrize("n", [2, 15, 40])
+    def test_pi_ring_takes_one_atanh_row_per_node(self, n, monkeypatch):
+        # at theta = pi the pair's root 1 - d is 1, the r = 1 log's root, so
+        # with n | K the whole lone-log sum is one class: one E row per node
+        sizes = []
+        rest = mappings._atanh_rest
+
+        def spy(y):
+            sizes.append(np.size(y))
+            return rest(y)
+
+        monkeypatch.setattr(mappings, "_atanh_rest", spy)
+        ring = np.exp(2j * math.pi * np.arange(720) / 720)
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=n, theta=math.pi))
+        convolution._ring_dilatation(spec, 0.9, ring)
+        assert sum(sizes) == 720
 
     def test_ring_route_against_series(self):
         # n = 15 on 720 nodes takes one class (g = 15) against the order-256

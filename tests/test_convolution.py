@@ -9,7 +9,7 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       compute_table, conv_derivatives, conv_dilatation,
                       conv_dilatation_f0, conv_parts_f1, conv_value,
                       default_grid, dilatation, eval_B, eval_h, eval_J,
-                      hadamard, li2, make_mapping, render_webbing,
+                      hadamard, li2, make_mapping, mappings, render_webbing,
                       scan_dilatation, series_derivative, series_div,
                       series_eval, shear_series, taylor_of_mapping,
                       univalency_radius)
@@ -402,6 +402,36 @@ SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly(["a"]), lambda: TruncatedSeries([1, "x"]),
+    lambda: Poly(object()), lambda: Poly([NAN, 1]), lambda: Poly([]),
+    lambda: TruncatedSeries([[1, 2]])],
+    ids=["poly-string", "series-string", "poly-object", "poly-nan",
+         "poly-empty", "series-2d"])
+def test_coefficient_errors_name_the_coefficients(make):
+    # Poly and TruncatedSeries share one check; its message says what failed
+    with pytest.raises(ParameterError, match="^coefficients must be"):
+        make()
+
+
+def test_far_route_evaluates_each_root_once(monkeypatch):
+    # Fn n=3 theta=pi/4 takes the far pair at every point (|d| > 1/4); its
+    # root 1 is also the r = 1 lone log's, so one li2 argument row serves both
+    calls = []
+
+    def spy(y):
+        calls.append(y)
+        return li2(y)
+
+    monkeypatch.setattr(mappings, "li2", spy)
+    right = make_mapping("Fn", n=3, theta=math.pi / 4)
+    z = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
+    conv_value(ConvolutionSpec(0.5, right), z)
+    (y,) = calls
+    rows = y.reshape(2 * len(y[0]), -1)
+    assert len({row.tobytes() for row in rows}) == len(rows)
 
 
 LOG_JET_RIGHTS = [make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
