@@ -178,12 +178,12 @@ class TermTable(NamedTuple):
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
         near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
         r = self.r if near.all() else np.append(self.r if m else 1, 1 - d)
-        rz = np.multiply.outer(r, z)  # chi = Li2(-rz) - Li2(rz) per root
-        chi = np.subtract(*li2(np.multiply.outer((-1, 1), rz))) if len(r) else 0
-        ih = self.alpha * L + (np.tensordot(self.c, chi[:m], 1) if m else 0)
-        pair = np.empty_like(z)  # -2k F
+        zr = np.multiply.outer(z, r)  # chi = Li2(-rz) - Li2(rz), roots last
+        chi = np.subtract(*li2(np.multiply.outer((-1, 1), zr))) if len(r) else 0
+        ih = self.alpha * L + (chi[..., :m] @ self.c if m else 0)
+        pair = np.empty_like(z)  # -2k F; far: chi at r[0] = 1, r[-1] = 1 - d
         if len(r) > m:
-            pair = self.k / d * ((chi[-1] - chi[0]) / d - L)  # r[0] = 1
+            pair = self.k / d * ((chi[..., -1] - chi[..., 0]) / d - L)
         if near.any():
             pair[near] = -2 * self.k * _chi_series(d, w[near], v[near], L[near] / 2)
         return ih + pair, self.s * L - ih - pair

@@ -429,8 +429,8 @@ def test_far_route_evaluates_each_root_once(monkeypatch):
     right = make_mapping("Fn", n=3, theta=math.pi / 4)
     z = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
     conv_value(ConvolutionSpec(0.5, right), z)
-    (y,) = calls
-    rows = y.reshape(2 * len(y[0]), -1)
+    (y,) = calls  # the arguments as (sign, point, root)
+    rows = np.moveaxis(y, -1, 0).reshape(y.shape[-1], -1)  # one row a root
     assert len({row.tobytes() for row in rows}) == len(rows)
 
 
