@@ -53,7 +53,7 @@ def cohn_reduce(p: Poly) -> Poly:
     when |a_0| < |a_d|; then p has exactly one more zero in the open unit
     disk than q1.
     """
-    if p.degree < 1:
+    if instance(p, Poly, "p").degree < 1:
         raise ParameterError("cohn_reduce needs degree >= 1")
     c = p.coeffs
     a0, ad = c[0], c[-1]
@@ -69,20 +69,24 @@ def zeros_in_unit_disk(p: Poly) -> int:
     """Number of zeros of p inside the open unit disk.
 
     Iterates Cohn reductions, flipping to the reversed polynomial when the
-    end coefficients force it.  Inputs whose end coefficients have equal
-    modulus (the inconclusive configuration, in particular any polynomial
-    with unit-circle zeros) raise BoundaryDegenerateError.
+    end coefficients force it.  Each polynomial is scaled to a largest
+    coefficient of modulus 1 before it is reduced, which leaves its zeros
+    unchanged: a reduction about squares the coefficients' size, so
+    unscaled they overflow or underflow within a few dozen steps.  Inputs
+    whose end coefficients have equal modulus (the inconclusive
+    configuration, in particular any polynomial with unit-circle zeros)
+    raise BoundaryDegenerateError.
     """
-    d = p.degree
+    d = instance(p, Poly, "p").degree
     if d == 0:
         return 0
-    c = p.coeffs
+    c = p.coeffs / np.max(np.abs(p.coeffs))
     a0m, adm = abs(c[0]), abs(c[-1])
-    if abs(a0m - adm) <= 1e-10 * float(np.max(np.abs(c))):
+    if abs(a0m - adm) <= 1e-10:
         raise BoundaryDegenerateError(
             "end coefficients have equal modulus; count is undecidable")
     if a0m < adm:
-        return 1 + zeros_in_unit_disk(cohn_reduce(p))
+        return 1 + zeros_in_unit_disk(cohn_reduce(Poly(c)))
     # reversal maps zeros to reciprocals, exchanging inside and outside
     return d - zeros_in_unit_disk(Poly(c[::-1].copy()))
 
@@ -186,34 +190,48 @@ class UnivalencyReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnivalencyReport":
-        return cls(
-            max_modulus=d["max_modulus"],
-            argmax=_uncx(d["argmax"]),
-            violations=[(_uncx(v["z"]), v["modulus"]) for v in d["violations"]],
-            grid=GridSpec(tuple(d["grid"]["radii"]), d["grid"]["angles_count"]),
-            critical_points=[_uncx(z) for z in d["critical_points"]],
-            skipped=d["skipped"],
-        )
+        """The report ``to_dict`` wrote; ParameterError for a missing key
+        or a value of the wrong type."""
+        try:
+            return cls(
+                max_modulus=d["max_modulus"],
+                argmax=_uncx(d["argmax"]),
+                violations=[(_uncx(v["z"]), v["modulus"]) for v in d["violations"]],
+                grid=GridSpec(tuple(d["grid"]["radii"]), d["grid"]["angles_count"]),
+                critical_points=[_uncx(z) for z in d["critical_points"]],
+                skipped=d["skipped"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ParameterError(f"not a report dict: {exc!r}") from None
 
     @classmethod
     def from_json(cls, s: str) -> "UnivalencyReport":
-        return cls.from_dict(json.loads(s))
+        """The report ``to_json`` wrote; ParameterError for text that is not
+        JSON or not a report."""
+        try:
+            d = json.loads(s)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"not report JSON: {exc}") from None
+        return cls.from_dict(d)
 
 
 def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     """Evaluate |dilatation| at every grid node, row-major over radii then
     angles.
 
-    Nodes where the denominator vanishes are listed as critical points and
-    excluded from the max/violation statistics.  GridSpec keeps every node
-    within |z| <= MAX_RADIUS, clear of the unit-circle singularities, so the
+    The nodes are one array, the radii times the unit ring, whose rows
+    ``_ring_dilatation`` takes as rings; the critical points, the argmax
+    and the violations are read from that array.  Nodes where the
+    denominator vanishes are listed as critical points and excluded from
+    the max/violation statistics.  GridSpec keeps every node within
+    |z| <= MAX_RADIUS, clear of the unit-circle singularities, so the
     report's ``skipped`` count is always 0.
     """
     instance(spec, ConvolutionSpec, "spec")
     K = instance(grid, GridSpec, "grid").angles_count
-    ring = np.exp(2j * math.pi * np.arange(K) / K)
-    M = np.abs([_ring_dilatation(spec, r, ring) for r in grid.radii]).ravel()
-    z = np.multiply.outer(grid.radii, ring).ravel()  # the row-major node map
+    z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
+    M = np.abs(_ring_dilatation(spec, z)).ravel()
+    z = z.ravel()
     criticals = z[np.isinf(M)].tolist()
     M[~np.isfinite(M)] = -1  # critical nodes: out of the max and violations
     imax = int(np.argmax(M))
@@ -360,7 +378,7 @@ def _circle_max(spec, r):
     the search's test either way.  So is a ring of radius below 0.01, where
     the derivatives' /z forms cancel."""
     step = 2 * math.pi / 1440
-    mod = np.abs(_ring_dilatation(spec, r, np.exp(1j * step * np.arange(1440))))
+    mod = np.abs(_ring_dilatation(spec, r * np.exp(1j * step * np.arange(1440))))
     top = np.max(mod)
     if top >= 1 or r < 0.01:
         return float(top)

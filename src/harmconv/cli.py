@@ -32,6 +32,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = int(m.group(2)) if m.group(2) else 1
         den = int(m.group(3)) if m.group(3) else 1
+        if den == 0:
+            raise click.BadParameter(f"angle {text!r} has a zero denominator")
         return sign * math.pi * num / den
     try:
         return float(s)

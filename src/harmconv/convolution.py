@@ -108,12 +108,19 @@ def _ratio(Hp, Gp):
     return np.divide(Gp, Hp, out=np.full_like(Hp, np.inf), where=~crit)
 
 
-def _ring_dilatation(spec, r, ring):
-    """Gp/Hp at the nodes r ring, inf at a critical node (``_ratio``),
-    unguarded.  ring holds K equispaced unit nodes in angular order, so Fn's
-    orbit takes n/gcd(n, K) logs per node (``TermTable.odd_rests``)."""
+def _ring_dilatation(spec, z):
+    """Gp/Hp at the nodes z, inf at a critical node (``_ratio``), unguarded.
+    The last axis of z holds one ring, K equispaced nodes of one circle in
+    angular order from any angle, and leading axes hold more rings: this is
+    the one place that splits a node grid into rings.  Each ring is one
+    ``_derivatives`` call, so Fn's orbit takes n/gcd(n, K) logs per node
+    (``TermTable.odd_rests``) and one call's arrays stay one ring's size."""
     t = term_table(spec.right)
-    return _ratio(*_derivatives(spec.a, t, r * ring, np.gcd(t.n, len(ring))))
+    g = np.gcd(t.n, z.shape[-1])
+    w = np.empty_like(z)
+    for i in np.ndindex(z.shape[:-1]):
+        w[i] = _ratio(*_derivatives(spec.a, t, z[i], g))
+    return w
 
 
 def _log_jets(spec, z):

@@ -57,6 +57,7 @@ def taylor_of_mapping(spec: MappingSpec, N: int):
 
 def hadamard(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise product; orders must agree."""
+    instance(s, TruncatedSeries, "s"), instance(t, TruncatedSeries, "t")
     if s.order != t.order:
         raise ParameterError(
             f"order mismatch: {s.order} vs {t.order}")
@@ -65,12 +66,13 @@ def hadamard(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
 
 def series_eval(s: TruncatedSeries, z):
     """Evaluate the truncated polynomial at z (Horner)."""
+    instance(s, TruncatedSeries, "s")
     arr, scalar = prepare(z)
     return finish(np.polynomial.polynomial.polyval(arr, s.coeffs), scalar)
 
 
 def series_derivative(s: TruncatedSeries) -> TruncatedSeries:
-    if s.order == 0:
+    if instance(s, TruncatedSeries, "s").order == 0:
         return TruncatedSeries(np.zeros(1, dtype=complex))
     k = np.arange(1, s.order + 1)
     return TruncatedSeries(s.coeffs[1:] * k)
@@ -78,6 +80,7 @@ def series_derivative(s: TruncatedSeries) -> TruncatedSeries:
 
 def series_div(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Formal quotient s/t truncated at s.order; t must have t_0 != 0."""
+    instance(s, TruncatedSeries, "s"), instance(t, TruncatedSeries, "t")
     if t.coeffs[0] == 0:
         raise ZeroDivisionError("series_div requires a unit constant term")
     N = s.order
@@ -99,6 +102,8 @@ def shear_series(phi: TruncatedSeries, omega: TruncatedSeries):
     zero constant term, so h + g = phi holds coefficientwise by
     construction; g' = omega * h' holds to rounding.
     """
+    instance(phi, TruncatedSeries, "phi")
+    instance(omega, TruncatedSeries, "omega")
     if phi.coeffs[0] != 0:
         raise ParameterError("phi must vanish at 0")
     if abs(omega.coeffs[0]) >= 1:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ._core import positive_int, real
+from ._core import instance, positive_int, real
 from .convolution import ConvolutionSpec, conv_dilatation
 from .errors import ParameterError
 from .mappings import make_mapping
@@ -76,7 +76,7 @@ def angle_value(frac: Tuple[int, int]) -> float:
 def compute_row(row: TableRow) -> dict:
     """Recompute one row; returns parameters, computed modulus, reference
     and absolute difference."""
-    theta = angle_value(row.theta)
+    theta = angle_value(instance(row, TableRow, "row").theta)
     spec = ConvolutionSpec(row.a, make_mapping("Fn", theta=theta, n=row.n))
     z = PROBE_RADIUS * complex(math.cos(angle_value(row.z_angle)),
                                math.sin(angle_value(row.z_angle)))

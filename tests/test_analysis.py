@@ -80,6 +80,24 @@ class TestZeroCount:
                 continue
             assert got == want, c
             checked += 1
+        # each reduction about squares the coefficients' size: these overflow
+        # (a warning, an error here) or underflow to the zero polynomial
+        # unless each step is scaled
+        rng = np.random.default_rng(1)
+        hard = []
+        for deg in (12, 20, 40, 80):
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            c[-1] = 10
+            hard.append(c)
+
+        def ring(count, r, start):
+            return r * np.exp(1j * (start + 2 * math.pi * np.arange(count) / count))
+
+        hard.append(np.poly(ring(30, 0.9, 0.1))[::-1])
+        hard.append(np.poly(np.append(ring(25, 0.5, 0.1), ring(25, 2.5, 0.3)))[::-1])
+        for c in hard:
+            want = int(np.sum(np.abs(np.roots(c[::-1])) < 1))
+            assert zeros_in_unit_disk(Poly(c)) == want, len(c) - 1
 
 
 class TestGrids:
@@ -156,7 +174,7 @@ class TestScan:
         ring = np.exp(2j * math.pi * np.arange(360) / 360)
         want = []
         for r in grid.radii:
-            mod = np.abs(convolution._ring_dilatation(spec, r, ring))
+            mod = np.abs(convolution._ring_dilatation(spec, r * ring))
             want += [(complex(r * ring[k]), float(mod[k]))
                      for k in np.flatnonzero(mod >= 1)]
         got = scan_dilatation(spec, grid).violations
@@ -418,41 +436,56 @@ class TestRingRoute:
     # scan rows and radius rings sum Fn's lone-log orbit one rotation class
     # at a time (g = gcd(n, K)); public conv_derivatives sums it log by log
     @staticmethod
-    def routes(spec, R, K):
-        """omega on the ring by the ring route and by conv_derivatives,
-        after checking that the scan row's moduli are the ring route's."""
-        ring = np.exp(2j * math.pi * np.arange(K) / K)
-        z = R * ring
+    def routes(spec, z):
+        """omega on the stack of rings z, one ring of K nodes a row, by the
+        ring route, one ``_derivatives`` call a row, and by conv_derivatives,
+        after checking that one ``_ring_dilatation`` call on the stack equals
+        one call a row bit for bit, and that its moduli are the ring route's."""
         t = term_table(spec.right)
-        Hp, Gp = _derivatives(spec.a, t, z, math.gcd(t.n, K))
-        mod = np.abs(convolution._ring_dilatation(spec, R, ring))
-        assert not np.isinf(mod).any() and np.array_equal(mod, np.abs(Gp / Hp))
+        w = np.empty_like(z)
+        for i, row in enumerate(z):
+            Hp, Gp = _derivatives(spec.a, t, row, math.gcd(t.n, z.shape[-1]))
+            w[i] = Gp / Hp
+        stack = convolution._ring_dilatation(spec, z)
+        rows = [convolution._ring_dilatation(spec, row) for row in z]
+        assert np.array_equal(stack, rows)
+        mod = np.abs(stack)
+        assert not np.isinf(mod).any() and np.array_equal(mod, np.abs(w))
         Hp0, Gp0 = conv_derivatives(spec, z)
-        return Gp / Hp, Gp0 / Hp0
+        return w, Gp0 / Hp0
+
+    @staticmethod
+    def stack(radii, K, starts=0.0):
+        """The rings radii[i] e^{i starts[i]} e^{2 pi i k/K}, k < K, as rows."""
+        ring = np.exp(2j * math.pi * np.arange(K) / K)
+        return np.multiply.outer(np.multiply(radii, np.exp(1j * np.asarray(starts))),
+                                 ring)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 10, 12, 15, 40])
     @pytest.mark.parametrize("theta", [math.pi, math.pi - 1e-6, 0.7],
                              ids=["pi", "near-pi", "general"])
     def test_ring_route_matches_conv_derivatives(self, n, theta):
         # K = 720 and 1440 give g = n for most n, 100 gives 1 < g < n for
-        # n = 12, 15, 40, and the prime 97 gives g = 1
+        # n = 12, 15, 40, and the prime 97 gives g = 1; the second stack's
+        # rows start at different angles, as rotated rings do
+        radii = (0.05, 0.5, 0.99, 0.999)
         for K in (720, 1440, 100, 97):
-            for R in (0.05, 0.5, 0.99, 0.999):
+            for starts in (0.0, (0.3, -1.1, 2.9, 0.01)):
                 for a in (0.5, -0.5):
                     spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
-                    w, w0 = self.routes(spec, R, K)
+                    w, w0 = self.routes(spec, self.stack(radii, K, starts))
                     err = np.abs(w - w0) / np.maximum(1, np.abs(w0))
-                    assert np.max(err) <= 1e-12, (K, R, a)
+                    assert np.max(err) <= 1e-12, (K, starts, a)
 
     @pytest.mark.parametrize("right", [
         make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
         make_mapping("F1", theta=math.pi - 1e-6)], ids=["F0", "F1", "F1-near-pi"])
     def test_no_orbit_matches_bit_for_bit(self, right):
         for K in (720, 1440, 97):
-            for R in (0.05, 0.5, 0.999):
-                for a in (0.5, -0.5):
-                    w, w0 = self.routes(ConvolutionSpec(a, right), R, K)
-                    assert np.array_equal(w, w0)
+            for a in (0.5, -0.5):
+                z = self.stack((0.05, 0.5, 0.999), K)
+                w, w0 = self.routes(ConvolutionSpec(a, right), z)
+                assert np.array_equal(w, w0)
 
     @pytest.mark.parametrize("n", [2, 15, 40])
     def test_pi_ring_takes_one_atanh_row_per_node(self, n, monkeypatch):
@@ -468,7 +501,7 @@ class TestRingRoute:
         monkeypatch.setattr(mappings, "_atanh_rest", spy)
         ring = np.exp(2j * math.pi * np.arange(720) / 720)
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=n, theta=math.pi))
-        convolution._ring_dilatation(spec, 0.9, ring)
+        convolution._ring_dilatation(spec, 0.9 * ring)
         assert sum(sizes) == 720
 
     def test_ring_route_against_series(self):
@@ -544,11 +577,11 @@ class TestRadius:
         for name in ("_ring_dilatation", "_log_jets"):
             monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
         ring = np.exp(1j * (2 * math.pi / 1440) * np.arange(1440))  # its ring
-        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.99, ring)))
+        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.99 * ring)))
         calls.clear()
         assert top >= 1 and analysis._circle_max(spec, 0.99) == top
         assert calls == ["_ring_dilatation"]  # the ring alone
-        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.9, ring)))
+        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.9 * ring)))
         m = analysis._circle_max(spec, 0.9)
         assert top <= m < 1
         assert abs(m - self.dense_max(spec, 0.9)) <= 1e-12
@@ -619,7 +652,7 @@ class TestCriticalPoints:
         z0 = self.zero_of_Hp()
         ring = np.exp(1j * cmath.phase(z0)) * np.exp(
             2j * math.pi * np.arange(720) / 720)
-        mod = np.abs(convolution._ring_dilatation(self.SPEC, abs(z0), ring))
+        mod = np.abs(convolution._ring_dilatation(self.SPEC, abs(z0) * ring))
         crit = abs(z0) * ring[np.isinf(mod)]
         assert len(crit) == 1 and abs(crit[0] - z0) <= 1e-15
         assert np.isinf(mod[0]) and np.all(np.isfinite(mod[1:]))

@@ -31,8 +31,9 @@ class TestParseAngle:
 
     def test_rejected(self):
         import click
-        with pytest.raises(click.BadParameter):
-            parse_angle("pie/3")
+        for text in ("pie/3", "pi/0", "-3pi/0"):
+            with pytest.raises(click.BadParameter):
+                parse_angle(text)
 
 
 def test_table_1_passes(runner):
@@ -103,6 +104,13 @@ def test_check_empty_grid_usage_error(runner, grid):
                                "--a", "0.5"] + grid)
     assert res.exit_code == 2
     assert "positive integer" in res.output
+
+
+def test_zero_denominator_angle_usage_error(runner):
+    res = runner.invoke(main, ["radius", "--family", "fn", "--n", "2",
+                               "--theta", "pi/0", "--a", "0.5"])
+    assert res.exit_code == 2
+    assert "zero denominator" in res.output
 
 
 def test_f1_theta_pi_redirects(runner):

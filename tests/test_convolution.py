@@ -5,14 +5,15 @@ import pytest
 
 from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       J_boundary, MappingSpec, ParameterError, Poly, TableRow,
-                      TruncatedSeries, cohn_reduce, compute_row,
-                      compute_table, conv_derivatives, conv_dilatation,
+                      TruncatedSeries, UnivalencyReport, cohn_reduce,
+                      compute_row, compute_table, conv_derivatives,
+                      conv_dilatation,
                       conv_dilatation_f0, conv_parts_f1, conv_value,
                       default_grid, dilatation, eval_B, eval_h, eval_J,
                       hadamard, li2, make_mapping, mappings, render_webbing,
                       scan_dilatation, series_derivative, series_div,
                       series_eval, shear_series, taylor_of_mapping,
-                      univalency_radius)
+                      univalency_radius, zeros_in_unit_disk)
 from harmconv.convolution import _log_jets
 
 RNG = np.random.default_rng(31)
@@ -373,6 +374,17 @@ SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
     (lambda: cohn_reduce(Poly([2.0])), ParameterError),
     (lambda: shear_series(TruncatedSeries([1, 1, 1]),
                           TruncatedSeries([0, 0, 0])), ParameterError),
+    (lambda: UnivalencyReport.from_json("{}"), ParameterError),
+    (lambda: UnivalencyReport.from_json("[1]"), ParameterError),
+    (lambda: UnivalencyReport.from_json("xx"), ParameterError),
+    (lambda: hadamard("x", TruncatedSeries([1])), ParameterError),
+    (lambda: series_eval("x", 0.5), ParameterError),
+    (lambda: series_derivative("x"), ParameterError),
+    (lambda: series_div(TruncatedSeries([1]), "x"), ParameterError),
+    (lambda: shear_series("x", TruncatedSeries([0])), ParameterError),
+    (lambda: cohn_reduce([0, 1]), ParameterError),
+    (lambda: zeros_in_unit_disk([1, 2]), ParameterError),
+    (lambda: compute_row("x"), ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -398,7 +410,11 @@ SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
         "h-convolution-spec", "series-convolution-spec",
         "mapping-dilatation-string", "poly-coeff-string",
         "series-coeff-string", "poly-object", "cohn-reduce-degree-zero",
-        "shear-phi-nonzero-at-0"])
+        "shear-phi-nonzero-at-0", "report-json-empty-object",
+        "report-json-list", "report-json-not-json", "hadamard-string",
+        "series-eval-string", "series-derivative-string", "series-div-string",
+        "shear-string", "cohn-reduce-list", "zero-count-list",
+        "row-string"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
