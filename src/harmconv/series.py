@@ -57,7 +57,8 @@ def taylor_of_mapping(spec: MappingSpec, N: int):
 
 def hadamard(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise product; orders must agree."""
-    instance(s, TruncatedSeries, "s"), instance(t, TruncatedSeries, "t")
+    instance(s, TruncatedSeries, "s")
+    instance(t, TruncatedSeries, "t")
     if s.order != t.order:
         raise ParameterError(
             f"order mismatch: {s.order} vs {t.order}")
@@ -80,7 +81,8 @@ def series_derivative(s: TruncatedSeries) -> TruncatedSeries:
 
 def series_div(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Formal quotient s/t truncated at s.order; t must have t_0 != 0."""
-    instance(s, TruncatedSeries, "s"), instance(t, TruncatedSeries, "t")
+    instance(s, TruncatedSeries, "s")
+    instance(t, TruncatedSeries, "t")
     if t.coeffs[0] == 0:
         raise ZeroDivisionError("series_div requires a unit constant term")
     N = s.order

@@ -482,8 +482,8 @@ class TestRingRoute:
         make_mapping("F1", theta=math.pi - 1e-6)], ids=["F0", "F1", "F1-near-pi"])
     def test_no_orbit_matches_bit_for_bit(self, right):
         for K in (720, 1440, 97):
+            z = self.stack((0.05, 0.5, 0.999), K)
             for a in (0.5, -0.5):
-                z = self.stack((0.05, 0.5, 0.999), K)
                 w, w0 = self.routes(ConvolutionSpec(a, right), z)
                 assert np.array_equal(w, w0)
 

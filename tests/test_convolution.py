@@ -7,13 +7,13 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       J_boundary, MappingSpec, ParameterError, Poly, TableRow,
                       TruncatedSeries, UnivalencyReport, cohn_reduce,
                       compute_row, compute_table, conv_derivatives,
-                      conv_dilatation,
-                      conv_dilatation_f0, conv_parts_f1, conv_value,
-                      default_grid, dilatation, eval_B, eval_h, eval_J,
-                      hadamard, li2, make_mapping, mappings, render_webbing,
-                      scan_dilatation, series_derivative, series_div,
-                      series_eval, shear_series, taylor_of_mapping,
-                      univalency_radius, zeros_in_unit_disk)
+                      conv_dilatation, conv_dilatation_f0, conv_parts_f1,
+                      conv_value, default_grid, dilatation, eval_B, eval_h,
+                      eval_J, hadamard, li2, make_mapping, mappings,
+                      render_webbing, scan_dilatation, series_derivative,
+                      series_div, series_eval, shear_series,
+                      taylor_of_mapping, univalency_radius,
+                      zeros_in_unit_disk)
 from harmconv.convolution import _log_jets
 
 RNG = np.random.default_rng(31)
