@@ -72,10 +72,10 @@ def zeros_in_unit_disk(p: Poly) -> int:
     end coefficients force it.  Each polynomial is scaled to a largest
     coefficient of modulus 1 before it is reduced, which leaves its zeros
     unchanged: a reduction about squares the coefficients' size, so
-    unscaled they overflow or underflow within a few dozen steps.  Inputs
-    whose end coefficients have equal modulus (the inconclusive
-    configuration, in particular any polynomial with unit-circle zeros)
-    raise BoundaryDegenerateError.
+    unscaled they overflow or underflow within a few dozen steps.  End
+    coefficients of equal modulus (to 1e-10, scaled) at any step raise
+    BoundaryDegenerateError, with or without a zero on the unit circle:
+    Poly([1, -2.5, 1]), whose zeros are 0.5 and 2, raises it.
     """
     d = instance(p, Poly, "p").degree
     if d == 0:
@@ -84,7 +84,7 @@ def zeros_in_unit_disk(p: Poly) -> int:
     a0m, adm = abs(c[0]), abs(c[-1])
     if abs(a0m - adm) <= 1e-10:
         raise BoundaryDegenerateError(
-            "end coefficients have equal modulus; count is undecidable")
+            "end coefficients have equal modulus; no Cohn step applies")
     if a0m < adm:
         return 1 + zeros_in_unit_disk(cohn_reduce(Poly(c)))
     # reversal maps zeros to reciprocals, exchanging inside and outside
@@ -135,7 +135,7 @@ def _cx(z):
 
 
 def _uncx(d):
-    return None if d is None else complex(d["re"], d["im"])
+    return complex(*(real(d[k], k) for k in ("re", "im")))
 
 
 # one violation as json.dumps(indent=2) writes it inside the report
@@ -190,13 +190,16 @@ class UnivalencyReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnivalencyReport":
-        """The report ``to_dict`` wrote; ParameterError for a missing key
-        or a value of the wrong type."""
+        """The report ``to_dict`` wrote; ParameterError for a missing key or
+        a value of the wrong type (numbers real, ``skipped`` an int >= 0)."""
         try:
+            if type(d["skipped"]) is not int or d["skipped"] < 0:  # no bool
+                raise ParameterError(f"skipped must be an int >= 0: {d['skipped']!r}")
             return cls(
-                max_modulus=d["max_modulus"],
-                argmax=_uncx(d["argmax"]),
-                violations=[(_uncx(v["z"]), v["modulus"]) for v in d["violations"]],
+                max_modulus=real(d["max_modulus"], "max_modulus"),
+                argmax=None if d["argmax"] is None else _uncx(d["argmax"]),
+                violations=[(_uncx(v["z"]), real(v["modulus"], "modulus"))
+                            for v in d["violations"]],
                 grid=GridSpec(tuple(d["grid"]["radii"]), d["grid"]["angles_count"]),
                 critical_points=[_uncx(z) for z in d["critical_points"]],
                 skipped=d["skipped"],
@@ -220,8 +223,8 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     angles.
 
     The nodes are one array, the radii times the unit ring, whose rows
-    ``_ring_dilatation`` takes as rings; the critical points, the argmax
-    and the violations are read from that array.  Nodes where the
+    go to ``_ring_dilatation`` one call each; the critical points, the
+    argmax and the violations are read from that array.  Nodes where the
     denominator vanishes are listed as critical points and excluded from
     the max/violation statistics.  GridSpec keeps every node within
     |z| <= MAX_RADIUS, clear of the unit-circle singularities, so the
@@ -230,7 +233,8 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     instance(spec, ConvolutionSpec, "spec")
     K = instance(grid, GridSpec, "grid").angles_count
     z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
-    M = np.abs(_ring_dilatation(spec, z)).ravel()
+    # a row a call: one call on the whole grid lifts peak memory by ~4 MiB
+    M = np.concatenate([np.abs(_ring_dilatation(spec, row)) for row in z])
     z = z.ravel()
     criticals = z[np.isinf(M)].tolist()
     M[~np.isfinite(M)] = -1  # critical nodes: out of the max and violations

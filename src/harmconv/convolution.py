@@ -96,7 +96,7 @@ def conv_derivatives(spec: ConvolutionSpec, z):
 
 def _derivatives(a, t, z, g=1):
     """(Hp, Gp) at the points z for the right factor's table t, unguarded;
-    g > 1 only for a ring of nodes (see ``TermTable.odd_rests``)."""
+    g > 1 only for rings on z's last axis (see ``TermTable.odd_rests``)."""
     rh, rg = t.odd_rests(z, g)  # D_h = 2 + z^2 rh, D_g = 2(s-1) + z^2 rg
     return _left(a, t.primes(z), (2 + z * z * rh, 2 * (t.s - 1) + z * z * rg))
 
@@ -111,16 +111,11 @@ def _ratio(Hp, Gp):
 def _ring_dilatation(spec, z):
     """Gp/Hp at the nodes z, inf at a critical node (``_ratio``), unguarded.
     The last axis of z holds one ring, K equispaced nodes of one circle in
-    angular order from any angle, and leading axes hold more rings: this is
-    the one place that splits a node grid into rings.  Each ring is one
-    ``_derivatives`` call, so Fn's orbit takes n/gcd(n, K) logs per node
-    (``TermTable.odd_rests``) and one call's arrays stay one ring's size."""
+    angular order from any angle, and leading axes hold more rings.  The
+    stack is one ``_derivatives`` call, whose arrays grow with it, and Fn's
+    orbit takes n/gcd(n, K) logs per node (``TermTable.odd_rests``)."""
     t = term_table(spec.right)
-    g = np.gcd(t.n, z.shape[-1])
-    w = np.empty_like(z)
-    for i in np.ndindex(z.shape[:-1]):
-        w[i] = _ratio(*_derivatives(spec.a, t, z[i], g))
-    return w
+    return _ratio(*_derivatives(spec.a, t, z, np.gcd(t.n, z.shape[-1])))
 
 
 def _log_jets(spec, z):

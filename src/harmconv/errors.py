@@ -37,8 +37,8 @@ class CohnInapplicableError(HarmconvError):
 
 
 class BoundaryDegenerateError(HarmconvError):
-    """A polynomial appears to have zeros on the unit circle; the disk
-    zero count is undefined by the reduction scheme."""
+    """A Schur-Cohn step met end coefficients of equal modulus, zeros on the
+    unit circle or not (zeros 0.5 and 2 give it); no reduction applies."""
 
 
 class QuadratureError(HarmconvError):

@@ -133,15 +133,15 @@ class TermTable(NamedTuple):
 
         The lone logs are r = 1 and the orbit r_j = (1-d) zeta^j, j = 1..n-1,
         zeta = e^{-2 pi i/n}; j = 0 is the pair's root, weight 0, but at d = 0
-        it is 1 and takes the r = 1 log.  When g > 1 divides n and K = len(z),
-        and z is a ring z_0 e^{2 pi i k/K}, k < K, the terms j = c + t n/g,
-        t < g, of a class c < n/g share one E: r_j z_k = r_c z_(k - tK/g), so
-        term j reads its class's E rotated by tK/g nodes.  With the nodes as g
-        rows of K/g, that is one g x g circulant of the class's weights, and
-        the orbit costs n/g logs per node, not n - 1.  g = 1 takes any z.  The
-        classes go through one ``_atanh_rest`` as classes x points, in blocks
-        of at most _ORBIT_BLOCK elements: a few points take one call, a large
-        grid one class a call."""
+        it is 1 and takes the r = 1 log.  When g > 1 divides n and K =
+        z.shape[-1], each row on z's last axis must be a ring z_0 e^{2 pi i
+        k/K}, k < K, with its own z_0.  The terms j = c + t n/g, t < g, of a
+        class c < n/g share one E: r_j z_k = r_c z_(k - tK/g), so term j reads
+        its class's E rotated by tK/g nodes within the ring.  With each ring
+        as g rows of K/g, that is one g x g circulant of the class's weights,
+        broadcast over the rings, and the orbit costs n/g logs per node, not
+        n - 1.  g = 1 takes any z.  The classes go through one ``_atanh_rest``
+        as classes x points, in blocks of at most _ORBIT_BLOCK elements."""
         z2 = z * z
         q = 1 / (1 - z2)
         m = 1 - (1 - self.d) * z2
@@ -156,14 +156,15 @@ class TermTable(NamedTuple):
                           2 * self.c[1:] * self.r[1:] ** 3).reshape(g, -1)
             roots = np.append(1 - self.d, self.r[1:])
             turn = np.subtract.outer(np.arange(g), np.arange(g)) % g
-            circulants = w.T[:, turn]  # [c, p, s] = w[(p - s) mod g, c]
+            # [c, ..., p, s] = w[(p - s) mod g, c], size 1 on z's leading axes
+            circulants = w.T[:, turn].reshape(-1, *[1] * (np.ndim(z) - 1), g, g)
             classes = np.flatnonzero(w.any(axis=0))
             size = max(1, _ORBIT_BLOCK // max(1, np.size(z)))
             for i in range(0, len(classes), size):
                 c = classes[i:i + size]
                 rest = _atanh_rest(np.multiply.outer(roots[c], z))
-                logs = logs - (circulants[c] @ rest.reshape(len(c), g, -1)).sum(
-                    axis=0).reshape(np.shape(z))
+                rows = rest.reshape(len(c), *np.shape(z)[:-1], g, -1)
+                logs = logs - (circulants[c] @ rows).sum(0).reshape(np.shape(z))
         return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
 
     def odd_integrals(self, z):

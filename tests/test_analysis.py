@@ -181,6 +181,30 @@ class TestScan:
         assert want and got == want
         assert all(type(z) is complex and type(m) is float for z, m in got)
 
+    @pytest.mark.parametrize("right", [
+        make_mapping("Fn", n=10, theta=-math.pi / 2),
+        make_mapping("Fn", n=3, theta=math.pi / 4)], ids=["n10", "n3"])
+    def test_row_split_is_a_memory_choice_only(self, right):
+        # the scan asks for its rows one call each; one call on the whole
+        # grid finds the same argmax and violating nodes.  Its moduli agree
+        # to rounding only: on arrays of 256 KiB and more numpy reuses
+        # temporaries in place, and c * x for a complex scalar c then runs
+        # as x * c, whose loop can round differently in the last bit
+        spec = ConvolutionSpec(0.7, right)
+        grid = default_grid()
+        K = grid.angles_count
+        z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
+        M = np.abs(convolution._ring_dilatation(spec, z)).ravel()
+        z = z.ravel()
+        assert np.isfinite(M).all()
+        rep = scan_dilatation(spec, grid)
+        assert rep.argmax == complex(z[np.argmax(M)])
+        assert rep.max_modulus == pytest.approx(M.max(), rel=1e-13)
+        vio = np.flatnonzero(M >= 1)
+        got_z, got_m = zip(*rep.violations)
+        assert list(got_z) == z[vio].tolist() and rep.critical_points == []
+        assert np.allclose(got_m, M[vio], rtol=1e-13, atol=0)
+
     def test_json_matches_the_indenting_encoder(self):
         # to_json writes the violations from a template: byte for byte what
         # json.dumps(indent=2) writes, NaN and Infinity included
@@ -476,6 +500,31 @@ class TestRingRoute:
                     w, w0 = self.routes(spec, self.stack(radii, K, starts))
                     err = np.abs(w - w0) / np.maximum(1, np.abs(w0))
                     assert np.max(err) <= 1e-12, (K, starts, a)
+
+    def test_stacked_rings_rotate_within_rows(self):
+        # with g = 2 each class's E is rotated by K/2 nodes, within its own
+        # ring: a (2, 720) stack whose rows start at different angles gives
+        # the rows' values bit for bit
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=0.7))
+        t = term_table(spec.right)
+        z = self.stack((0.5, 0.99), 720, (0.3, -1.1))
+        Hp, Gp = _derivatives(spec.a, t, z, 2)
+        rows = [_derivatives(spec.a, t, row, 2) for row in z]
+        assert np.array_equal(Hp, [h for h, _ in rows])
+        assert np.array_equal(Gp, [g for _, g in rows])
+
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_window_stack_of_rotated_rings(self, n):
+        # 49 n-node rings of one circle, rotated in steps of (1 - r)/2 about
+        # a pole's angle, as one stack: K = n, so g = n and K/g = 1
+        r = 0.99
+        for a in (0.5, -0.99):
+            spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=0.7))
+            pole = np.angle(term_table(spec.right).sing[1])
+            starts = pole + (1 - r) / 2 * np.arange(-24, 25)
+            w, w0 = self.routes(spec, self.stack(np.full(49, r), n, starts))
+            err = np.abs(w - w0) / np.maximum(1, np.abs(w0))
+            assert np.max(err) <= 1e-12, a
 
     @pytest.mark.parametrize("right", [
         make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),

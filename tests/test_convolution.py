@@ -284,6 +284,18 @@ def test_continuous_through_theta_pi(n):
 F0_SPEC = ConvolutionSpec(0.5, make_mapping("F0"))
 NAN = float("nan")
 SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
+REPORT = UnivalencyReport(1.5, 0.5 + 0j, [(0.5 + 0j, 1.5)], GridSpec((0.5,), 4),
+                          []).to_dict()
+
+
+def report_with(**values):
+    """REPORT's dict with some values replaced."""
+    return {**REPORT, **values}
+
+
+def test_report_with_nothing_replaced_reads_back():
+    # the base of the report inputs below is itself a valid report
+    assert UnivalencyReport.from_dict(report_with()).to_dict() == REPORT
 
 
 @pytest.mark.parametrize("call,error", [
@@ -385,6 +397,22 @@ SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
     (lambda: cohn_reduce([0, 1]), ParameterError),
     (lambda: zeros_in_unit_disk([1, 2]), ParameterError),
     (lambda: compute_row("x"), ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(max_modulus="x")),
+     ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(skipped="many")),
+     ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(skipped=-1)),
+     ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(skipped=True)),
+     ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(violations=[
+        {"z": {"re": 0.5, "im": 0.0}, "modulus": "big"}])), ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(
+        argmax={"re": True, "im": 0})), ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(violations=[
+        {"z": None, "modulus": 1.5}])), ParameterError),
+    (lambda: UnivalencyReport.from_dict(report_with(critical_points=[None])),
+     ParameterError),
 ], ids=["theta-nan", "theta-inf", "n-bool", "n-float", "fa-a-nan",
         "spec-a-nan", "f0-a-nan", "parts-a-nan", "parts-theta-inf",
         "B-a-nan", "dilatation-z-nan", "derivatives-z-nan", "value-z-nan",
@@ -414,7 +442,10 @@ SMALL_FIGURE = FigureSpec(rings=1, rays=2, samples_per_curve=64)
         "report-json-list", "report-json-not-json", "hadamard-string",
         "series-eval-string", "series-derivative-string", "series-div-string",
         "shear-string", "cohn-reduce-list", "zero-count-list",
-        "row-string"])
+        "row-string", "report-max-string", "report-skipped-string",
+        "report-skipped-negative", "report-skipped-bool",
+        "report-modulus-string", "report-argmax-bool",
+        "report-violation-z-null", "report-critical-point-null"])
 def test_invalid_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
