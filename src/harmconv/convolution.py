@@ -11,6 +11,7 @@ quotient (h(t) - h(-t))/t from 0 to z.  Both routes are closed forms in
 the right factor's terms, with no quadrature and no small-|z| branch, and
 ``_left`` alone combines them, for values, derivatives and jets alike.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def _ring_dilatation(spec, z):
     stack is one ``_derivatives`` call, whose arrays grow with it, and Fn's
     orbit takes n/gcd(n, K) logs per node (``TermTable.odd_rests``)."""
     t = term_table(spec.right)
-    return _ratio(*_derivatives(spec.a, t, z, np.gcd(t.n, z.shape[-1])))
+    return _ratio(*_derivatives(spec.a, t, z, math.gcd(t.n, z.shape[-1])))
 
 
 def _log_jets(spec, z):

@@ -117,6 +117,18 @@ class TestGrids:
         with pytest.raises(ParameterError):
             GridSpec((0.5,), 0)
 
+    @pytest.mark.parametrize("max_radius", [0.05, 0.01])
+    def test_max_radius_range(self, max_radius):
+        # the radii run from 0.05 out to max_radius, so more than one needs
+        # max_radius above 0.05, and the message says so; one radius is
+        # max_radius itself.  The default radii keep their bits
+        with pytest.raises(ParameterError, match=r"\(0\.05, 0\.999\] for 60 radii"):
+            default_grid(60, 720, max_radius=max_radius)
+        assert default_grid(1, 720, max_radius=max_radius).radii == (max_radius,)
+        r = default_grid().radii
+        assert (r[0], r[29], r[-2], r[-1]) == (
+            0.050000000000000044, 0.967333940524787, 0.9988767669035388, 0.999)
+
     @pytest.mark.parametrize("make", [
         lambda: default_grid(0),
         lambda: default_grid(2.5),
@@ -185,7 +197,8 @@ class TestScan:
         make_mapping("Fn", n=10, theta=-math.pi / 2),
         make_mapping("Fn", n=3, theta=math.pi / 4)], ids=["n10", "n3"])
     def test_row_split_is_a_memory_choice_only(self, right):
-        # the scan asks for its rows one call each; one call on the whole
+        # the scan asks for blocks of whole rows, at most 8,192 nodes a
+        # call (test_blocks_give_the_row_by_row_bits); one call on the whole
         # grid finds the same argmax and violating nodes.  Its moduli agree
         # to rounding only: on arrays of 256 KiB and more numpy reuses
         # temporaries in place, and c * x for a complex scalar c then runs
@@ -204,6 +217,51 @@ class TestScan:
         got_z, got_m = zip(*rep.violations)
         assert list(got_z) == z[vio].tolist() and rep.critical_points == []
         assert np.allclose(got_m, M[vio], rtol=1e-13, atol=0)
+
+    @staticmethod
+    def assert_row_by_row_bits(spec, grid):
+        # the report against one _ring_dilatation call per row, bit for bit
+        K = grid.angles_count
+        z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
+        M = np.concatenate([np.abs(convolution._ring_dilatation(spec, row))
+                            for row in z])
+        z = z.ravel()
+        rep = scan_dilatation(spec, grid)
+        assert np.isfinite(M).all() and rep.critical_points == []
+        k = int(np.argmax(M))
+        assert rep.max_modulus == M[k] and rep.argmax == z[k]
+        vio = np.flatnonzero(M >= 1)
+        assert rep.violations == list(zip(z[vio].tolist(), M[vio].tolist()))
+
+    @pytest.mark.parametrize("right", [
+        make_mapping("Fn", n=3, theta=math.pi / 4),
+        make_mapping("Fn", n=10, theta=-math.pi / 2),
+        make_mapping("F1", theta=math.pi / 6)], ids=["n3", "n10", "f1"])
+    def test_blocks_give_the_row_by_row_bits(self, right):
+        # the scan sends blocks of whole rows, at most 8,192 nodes a call.
+        # One call on the whole default grid moves the last bits of 8,474,
+        # 177 and 8,400 of these moduli (numpy reuses temporaries in place
+        # from 16,384 complex nodes up); 32,768-node blocks fail both Fn cases
+        self.assert_row_by_row_bits(ConvolutionSpec(0.7, right), default_grid())
+
+    @pytest.mark.parametrize("grid, shapes", [
+        (default_grid(), [(11, 720)] * 5 + [(5, 720)]),
+        (default_grid(25, 720), [(11, 720), (11, 720), (3, 720)]),
+        (GridSpec((0.5, 0.9, 0.99), 20000), [(1, 20000)] * 3),
+        (default_grid(angles_count=1), [(60, 1)]),
+    ], ids=["default", "25-radii", "rows-past-the-bound", "one-angle"])
+    def test_scan_blocks(self, grid, shapes, monkeypatch):
+        # whole rows per call, up to 8,192 nodes; a longer row goes alone
+        seen = []
+
+        def spy(spec, z):
+            seen.append(z.shape)
+            return convolution._ring_dilatation(spec, z)
+
+        monkeypatch.setattr(analysis, "_ring_dilatation", spy)
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
+        self.assert_row_by_row_bits(spec, grid)
+        assert seen == shapes
 
     def test_json_matches_the_indenting_encoder(self):
         # to_json writes the violations from a template: byte for byte what
