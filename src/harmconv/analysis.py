@@ -121,7 +121,8 @@ def default_grid(radii_count: int = 60, angles_count: int = 720,
     """Radii from 0.05 out to max_radius, whose gaps to the unit circle
     shrink geometrically, so they accumulate toward the outer edge, where
     the interesting behaviour lives.  One radius is max_radius itself, in
-    (0, MAX_RADIUS]; more need max_radius in (0.05, MAX_RADIUS]."""
+    (0, MAX_RADIUS]; more need max_radius in (0.05, MAX_RADIUS], far enough
+    above 0.05 that the radii stay distinct floats (about 1e-14 for 60)."""
     count, inner = positive_int(radii_count, "radii_count"), 0.05
     low = inner if count > 1 else 0
     if not low < real(max_radius, "max_radius") <= MAX_RADIUS:
@@ -131,6 +132,10 @@ def default_grid(radii_count: int = 60, angles_count: int = 720,
     gaps = np.geomspace(1 - inner, 1 - max_radius, count)
     radii = 1.0 - gaps
     radii[-1] = max_radius
+    if np.any(np.diff(radii) <= 0):
+        raise ParameterError(
+            f"max_radius {max_radius!r} is too close to {inner} for {count} "
+            f"radii: neighbouring radii round to the same float")
     return GridSpec(tuple(radii), angles_count)
 
 

@@ -95,9 +95,9 @@ def conv_derivatives(spec: ConvolutionSpec, z):
     return finish(Hp, scalar), finish(Gp, scalar)
 
 
-def _derivatives(a, t, z, g=1):
+def _derivatives(a, t, z, g=None):
     """(Hp, Gp) at the points z for the right factor's table t, unguarded;
-    g > 1 only for rings on z's last axis (see ``TermTable.odd_rests``)."""
+    g is None but for rings on z's last axis (see ``TermTable.odd_rests``)."""
     rh, rg = t.odd_rests(z, g)  # D_h = 2 + z^2 rh, D_g = 2(s-1) + z^2 rg
     return _left(a, t.primes(z), (2 + z * z * rh, 2 * (t.s - 1) + z * z * rg))
 
@@ -114,7 +114,8 @@ def _ring_dilatation(spec, z):
     The last axis of z holds one ring, K equispaced nodes of one circle in
     angular order from any angle, and leading axes hold more rings.  The
     stack is one ``_derivatives`` call, whose arrays grow with it, and Fn's
-    orbit takes n/gcd(n, K) logs per node (``TermTable.odd_rests``)."""
+    orbit takes n/gcd(n, K) logs per node, half as many for even K
+    (``TermTable.odd_rests``)."""
     t = term_table(spec.right)
     return _ratio(*_derivatives(spec.a, t, z, math.gcd(t.n, z.shape[-1])))
 

@@ -22,10 +22,12 @@ for Fn, 1 - d is the root nearest 1 and k = c d^2 stays bounded as theta
 -> +-pi, where c grows like 1/d^2; at theta = pi, d = 0.  Fn's lone roots
 are r = 1 plus one orbit, (1-d) zeta^j with zeta = e^{-2 pi i/n}, j = 1..n-1,
 the turns of the pair's root; on a ring of K equispaced nodes the orbit's
-logs fall into n/gcd(n, K) rotation classes (``TermTable.odd_rests``).  The
-singular points, 1 and the reciprocals of the roots, lie on the unit circle.
-The evaluators accept scalars or numpy arrays of points in the open unit
-disk and refuse points within 1e-9 of a singularity.
+logs fall into n/gcd(n, K) rotation classes, and for even K each lone log
+is taken on half the nodes, as its rest E(r z) is even in z
+(``TermTable.odd_rests``).  The singular points, 1 and the reciprocals of
+the roots, lie on the unit circle.  The evaluators accept scalars or numpy
+arrays of points in the open unit disk and refuse points within 1e-9 of a
+singularity.
 """
 import cmath
 import math
@@ -124,7 +126,7 @@ class TermTable(NamedTuple):
 
         return jet(1 + b * w, b * w1, b * w2), jet(w + b, w1, w2)
 
-    def odd_rests(self, z, g=1):
+    def odd_rests(self, z, g=None):
         """(R_h, R_g) with (h(z) - h(-z))/z = 2 + z^2 R_h and (g(z) -
         g(-z))/z = 2(s-1) + z^2 R_g, each summed from its own terms' rests:
         2 alpha/(1-z^2) for w, -2cr^3 E(rz) per lone log and 2k/m (d E(-dz/m)
@@ -133,15 +135,20 @@ class TermTable(NamedTuple):
 
         The lone logs are r = 1 and the orbit r_j = (1-d) zeta^j, j = 1..n-1,
         zeta = e^{-2 pi i/n}; j = 0 is the pair's root, weight 0, but at d = 0
-        it is 1 and takes the r = 1 log.  When g > 1 divides n and K =
-        z.shape[-1], each row on z's last axis must be a ring z_0 e^{2 pi i
-        k/K}, k < K, with its own z_0.  The terms j = c + t n/g, t < g, of a
-        class c < n/g share one E: r_j z_k = r_c z_(k - tK/g), so term j reads
-        its class's E rotated by tK/g nodes within the ring.  With each ring
-        as g rows of K/g, that is one g x g circulant of the class's weights,
-        broadcast over the rings, and the orbit costs n/g logs per node, not
-        n - 1.  g = 1 takes any z.  The classes go through one ``_atanh_rest``
-        as classes x points, in blocks of at most _ORBIT_BLOCK elements."""
+        it is 1 and takes the r = 1 log.  g = None takes any z.  Otherwise g
+        divides n and K = z.shape[-1], and each row on z's last axis must be
+        a ring z_0 e^{2 pi i k/K}, k < K, with its own z_0.  The terms j = c +
+        t n/g, t < g, of a class c < n/g share one E: r_j z_k = r_c z_(k -
+        tK/g), so term j reads its class's E rotated by tK/g nodes within the
+        ring.  With each ring as g rows of K/g, that is one g x g circulant of
+        the class's weights, broadcast over the rings, and the orbit costs
+        n/g logs per node, not n - 1.  E is even and node k + K/2 of a ring
+        with even K is -z_k, so there the r = 1 row and each class's row are
+        taken on the first K/2 nodes and repeated: half a log per node each.
+        The pair stays on every node: its 2k/m amplifies a one-ulp mismatch
+        between z_(k + K/2) and -z_k.  The classes go through one
+        ``_atanh_rest`` as classes x points, in blocks of at most
+        _ORBIT_BLOCK elements."""
         z2 = z * z
         q = 1 / (1 - z2)
         m = 1 - (1 - self.d) * z2
@@ -149,9 +156,17 @@ class TermTable(NamedTuple):
         e = self.d * _atanh_rest(-self.d * z / m) / (m * m) if self.d else 0
         logs = 2 * self.k / m * (e - q)
         if self.n > 1:  # the lone logs, at r = 1 and on the orbit
+            half = g is not None and np.shape(z)[-1] % 2 == 0
+            y = z[..., :np.shape(z)[-1] // 2] if half else z
+
+            def rest(x):  # E(x), and on an even ring again for the second half
+                ex = _atanh_rest(x)
+                return np.concatenate((ex, ex), -1) if half else ex
+
             if self.d:  # else 1 - d = 1: the r = 1 log is the orbit's j = 0
-                logs = logs - 2 * self.c[0] * _atanh_rest(z)
+                logs = logs - 2 * self.c[0] * rest(y)
             # the orbit's weights and roots, j = 0..n-1 as [t, c]
+            g = g or 1
             w = np.append(0 if self.d else 2 * self.c[0],
                           2 * self.c[1:] * self.r[1:] ** 3).reshape(g, -1)
             roots = np.append(1 - self.d, self.r[1:])
@@ -162,8 +177,8 @@ class TermTable(NamedTuple):
             size = max(1, _ORBIT_BLOCK // max(1, np.size(z)))
             for i in range(0, len(classes), size):
                 c = classes[i:i + size]
-                rest = _atanh_rest(np.multiply.outer(roots[c], z))
-                rows = rest.reshape(len(c), *np.shape(z)[:-1], g, -1)
+                rows = rest(np.multiply.outer(roots[c], y)).reshape(
+                    len(c), *np.shape(z)[:-1], g, -1)
                 logs = logs - (circulants[c] @ rows).sum(0).reshape(np.shape(z))
         return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
 

@@ -12,6 +12,7 @@ import numpy as np
 from ._core import MAX_RADIUS, instance, positive_int, real
 from .convolution import ConvolutionSpec, conv_value
 from .errors import ParameterError
+from .mappings import term_table
 
 _FMT = "%.6f"
 # an SVG 1.1 hex colour or a colour name: nothing that can end the attribute
@@ -37,9 +38,18 @@ class FigureSpec:
             raise ParameterError(f"max_radius must lie in (0, {MAX_RADIUS}]")
 
 
+# the most kernel elements, points x (lone-log roots + 2), of one conv_value
+# call in _curves: blocks of whole curves pay its fixed cost once a block,
+# and a bound on elements rather than points keeps an Fn figure's li2 rows as
+# small as an F1 figure's (one call a figure added 9 MiB of peak RSS)
+_RENDER_BLOCK = 2 ** 13
+
+
 def _curves(spec: ConvolutionSpec, fig: FigureSpec):
     """Sample all webbing curves; returns a list of vertex arrays, each
-    an array of complex image points."""
+    an array of complex image points.  The curves go to ``conv_value`` in
+    blocks of whole curves of at most _RENDER_BLOCK kernel elements (a
+    longer curve goes alone), and the values are split back into curves."""
     S = fig.samples_per_curve
     t = 2 * math.pi * np.arange(S + 1) / S  # rings are closed loops
     s = fig.max_radius * np.arange(S) / (S - 1)
@@ -47,7 +57,12 @@ def _curves(spec: ConvolutionSpec, fig: FigureSpec):
               for j in range(fig.rings)]
     params += [s * np.exp(1j * (2 * math.pi * k / fig.rays))
                for k in range(fig.rays)]
-    return [conv_value(spec, zs) for zs in params]
+    roots = len(term_table(instance(spec, ConvolutionSpec, "spec").right).r)
+    per = max(1, _RENDER_BLOCK // ((roots + 2) * (S + 1)))
+    values = [conv_value(spec, np.concatenate(params[i:i + per]))
+              for i in range(0, len(params), per)]
+    ends = np.cumsum([len(p) for p in params[:-1]])
+    return np.split(np.concatenate(values), ends)
 
 
 def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
@@ -57,7 +72,7 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
     ``stroke`` is a hex colour or a colour name and ``stroke_width`` a
     finite positive width in pixels; anything else is a ParameterError.
     """
-    instance(fig, FigureSpec, "fig")  # conv_value checks spec
+    instance(fig, FigureSpec, "fig")  # _curves checks spec
     if not isinstance(stroke, str) or not _COLOUR.fullmatch(stroke):
         raise ParameterError(f"stroke must be a hex colour or a colour name, "
                              f"got {stroke!r}")

@@ -129,6 +129,16 @@ class TestGrids:
         assert (r[0], r[29], r[-2], r[-1]) == (
             0.050000000000000044, 0.967333940524787, 0.9988767669035388, 0.999)
 
+    @pytest.mark.parametrize("max_radius", [0.05 + 1e-15, 0.05000000000000001])
+    def test_max_radius_too_close_to_the_inner_radius(self, max_radius):
+        # 60 geometric gaps between 0.95 and 1 - max_radius lie closer than
+        # one ulp, so neighbouring radii round to the same float; the message
+        # names that, not the increasing-radii check of GridSpec
+        with pytest.raises(ParameterError, match="round to the same float"):
+            default_grid(60, 720, max_radius=max_radius)
+        r = default_grid(60, 720, max_radius=0.05 + 1e-12).radii
+        assert len(r) == 60 and r[-1] == 0.05 + 1e-12
+
     @pytest.mark.parametrize("make", [
         lambda: default_grid(0),
         lambda: default_grid(2.5),
@@ -594,10 +604,9 @@ class TestRingRoute:
                 w, w0 = self.routes(ConvolutionSpec(a, right), z)
                 assert np.array_equal(w, w0)
 
-    @pytest.mark.parametrize("n", [2, 15, 40])
-    def test_pi_ring_takes_one_atanh_row_per_node(self, n, monkeypatch):
-        # at theta = pi the pair's root 1 - d is 1, the r = 1 log's root, so
-        # with n | K the whole lone-log sum is one class: one E row per node
+    @staticmethod
+    def atanh_sizes(spec, z, monkeypatch):
+        """The sizes of the ``_atanh_rest`` calls of one ring evaluation."""
         sizes = []
         rest = mappings._atanh_rest
 
@@ -606,10 +615,26 @@ class TestRingRoute:
             return rest(y)
 
         monkeypatch.setattr(mappings, "_atanh_rest", spy)
+        convolution._ring_dilatation(spec, z)
+        return sizes
+
+    @pytest.mark.parametrize("n", [2, 15, 40])
+    def test_pi_ring_takes_half_an_atanh_row_per_node(self, n, monkeypatch):
+        # at theta = pi the pair's root 1 - d is 1, the r = 1 log's root, so
+        # with n | K the whole lone-log sum is one class: one E row, and E
+        # is even, so on an even ring it is taken on the first K/2 nodes
         ring = np.exp(2j * math.pi * np.arange(720) / 720)
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=n, theta=math.pi))
-        convolution._ring_dilatation(spec, 0.9 * ring)
-        assert sum(sizes) == 720
+        assert sum(self.atanh_sizes(spec, 0.9 * ring, monkeypatch)) == 360
+
+    def test_odd_ring_takes_whole_atanh_rows(self, monkeypatch):
+        # node k + K/2 exists only for even K: n = 15 on a 45-node ring keeps
+        # its one class's E row on every node, and still matches term by term
+        z = self.stack((0.5, 0.99), 45, (0.3, -1.1))
+        spec = ConvolutionSpec(-0.2, make_mapping("Fn", n=15, theta=math.pi))
+        assert sum(self.atanh_sizes(spec, z, monkeypatch)) == 90
+        w, w0 = self.routes(spec, z)
+        assert np.max(np.abs(w - w0) / np.maximum(1, np.abs(w0))) <= 1e-12
 
     def test_ring_route_against_series(self):
         # n = 15 on 720 nodes takes one class (g = 15) against the order-256

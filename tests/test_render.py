@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from harmconv import (ConvolutionSpec, FigureSpec, ParameterError,
-                      make_mapping, render_webbing)
+                      conv_value, make_mapping, render_webbing, render)
+from harmconv.mappings import term_table
 from harmconv.render import _curves
 
 SMALL = FigureSpec(rings=4, rays=8, samples_per_curve=96)
@@ -55,7 +56,6 @@ def test_rays_meet_at_the_origin_image():
 
 
 def test_vertices_match_conv_value():
-    from harmconv import conv_value
     spec = spec_f1()
     curves = _curves(spec, SMALL)
     ring0 = curves[0]
@@ -108,3 +108,70 @@ def test_colour_strokes_accepted(stroke):
 def test_bad_stroke_rejected(stroke, width):
     with pytest.raises(ParameterError):
         render_webbing(spec_f1(), SMALL, stroke=stroke, stroke_width=width)
+
+
+BLOCK_SPECS = [
+    ConvolutionSpec(0.5, make_mapping("F0")),
+    spec_f1(0.8),
+    ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi)),
+    ConvolutionSpec(-0.2, make_mapping("Fn", n=15, theta=math.pi)),
+    ConvolutionSpec(0.5, make_mapping("Fn", n=3, theta=math.pi / 4)),
+]
+BLOCK_IDS = ["F0", "F1", "Fn2-pi", "Fn15-pi", "Fn3-pi/4"]
+FIGURES = {"default": FigureSpec(),
+           "reduced": FigureSpec(rings=4, rays=8, samples_per_curve=64)}
+
+
+def curve_params(fig):
+    """The points of each webbing curve, as _curves samples them."""
+    S = fig.samples_per_curve
+    t = 2 * math.pi * np.arange(S + 1) / S
+    s = fig.max_radius * np.arange(S) / (S - 1)
+    return ([fig.max_radius * (j + 1) / fig.rings * np.exp(1j * t)
+             for j in range(fig.rings)]
+            + [s * np.exp(2j * math.pi * k / fig.rays) for k in range(fig.rays)])
+
+
+@pytest.mark.parametrize("size", FIGURES)
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=BLOCK_IDS)
+def test_blocks_match_one_call_per_curve(spec, size):
+    # curves sent to conv_value in blocks come back as conv_value gives
+    # them one curve a call
+    fig = FIGURES[size]
+    curves = _curves(spec, fig)
+    params = curve_params(fig)
+    assert len(curves) == len(params)
+    for c, zs in zip(curves, params):
+        want = conv_value(spec, zs)
+        assert c.shape == want.shape
+        assert np.all(np.abs(c - want) <= 1e-13 * np.maximum(1, np.abs(want)))
+
+
+# conv_value calls per figure: 2, 2, 4, 17 and 5 kernel elements a point
+CALLS = {"default": [5, 5, 12, 34, 12], "reduced": [1, 1, 1, 2, 1]}
+
+
+@pytest.mark.parametrize("size", FIGURES)
+@pytest.mark.parametrize("k", range(len(BLOCK_SPECS)), ids=BLOCK_IDS)
+def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
+    # every conv_value call holds consecutive whole curves of at most
+    # _RENDER_BLOCK kernel elements, points x (lone-log roots + 2), but a
+    # curve longer than that goes alone: Fn n=15 has 15 roots, so each of
+    # its 512-sample curves (8,704 or 8,721 elements) takes one call
+    spec, fig = BLOCK_SPECS[k], FIGURES[size]
+    seen = []
+
+    def spy(s, z):
+        seen.append(len(z))
+        return conv_value(s, z)
+
+    monkeypatch.setattr(render, "conv_value", spy)
+    ends = np.cumsum([len(c) for c in _curves(spec, fig)])
+    last = np.searchsorted(ends, np.cumsum(seen))  # each call's last curve
+    assert np.array_equal(ends[last], np.cumsum(seen))
+    alone = np.diff(last, prepend=-1) == 1
+    elements = np.multiply(seen, len(term_table(spec.right).r) + 2)
+    assert np.all((elements <= render._RENDER_BLOCK) | alone)
+    assert len(seen) == CALLS[size][k]
+    if BLOCK_IDS[k] == "Fn15-pi" and size == "default":
+        assert alone.all() and min(elements) > render._RENDER_BLOCK
