@@ -143,12 +143,15 @@ class TermTable(NamedTuple):
         ring.  With each ring as g rows of K/g, that is one g x g circulant of
         the class's weights, broadcast over the rings, and the orbit costs
         n/g logs per node, not n - 1.  E is even and node k + K/2 of a ring
-        with even K is -z_k, so there the r = 1 row and each class's row are
-        taken on the first K/2 nodes and repeated: half a log per node each.
-        The pair stays on every node: its 2k/m amplifies a one-ulp mismatch
-        between z_(k + K/2) and -z_k.  The classes go through one
-        ``_atanh_rest`` as classes x points, in blocks of at most
-        _ORBIT_BLOCK elements."""
+        with even K is -z_k, so there the lone logs are summed on the first
+        K/2 nodes and repeated: half a log per node for r = 1 and for each
+        class.  Taken mod K/2, term t's turn of tK/g nodes is a whole number
+        of rows when the half ring is h rows of K/(2h), h = g/2 for even g
+        (terms t and t + g/2 then share a turn, and their weights add) and
+        h = g for odd g (where the turns are 2t mod g).  The pair stays on
+        every node: its 2k/m amplifies a one-ulp mismatch between z_(k +
+        K/2) and -z_k.  The classes go through one ``_atanh_rest`` as
+        classes x points, in blocks of at most _ORBIT_BLOCK elements."""
         z2 = z * z
         q = 1 / (1 - z2)
         m = 1 - (1 - self.d) * z2
@@ -156,30 +159,31 @@ class TermTable(NamedTuple):
         e = self.d * _atanh_rest(-self.d * z / m) / (m * m) if self.d else 0
         logs = 2 * self.k / m * (e - q)
         if self.n > 1:  # the lone logs, at r = 1 and on the orbit
-            half = g is not None and np.shape(z)[-1] % 2 == 0
-            y = z[..., :np.shape(z)[-1] // 2] if half else z
-
-            def rest(x):  # E(x), and on an even ring again for the second half
-                ex = _atanh_rest(x)
-                return np.concatenate((ex, ex), -1) if half else ex
-
-            if self.d:  # else 1 - d = 1: the r = 1 log is the orbit's j = 0
-                logs = logs - 2 * self.c[0] * rest(y)
             # the orbit's weights and roots, j = 0..n-1 as [t, c]
-            g = g or 1
+            half, g = g is not None and np.shape(z)[-1] % 2 == 0, g or 1
             w = np.append(0 if self.d else 2 * self.c[0],
                           2 * self.c[1:] * self.r[1:] ** 3).reshape(g, -1)
             roots = np.append(1 - self.d, self.r[1:])
+            y, lone = z, logs
+            if half:  # the first K/2 nodes as h rows; term t turns shift[t] rows
+                K, h = np.shape(z)[-1], g // 2 if g % 2 == 0 else g
+                shift = np.arange(g) * (K // g) % (K // 2) // (K // (2 * h))
+                w, g = np.equal.outer(np.arange(h), shift) @ w, h
+                y, lone = z[..., :K // 2], 0
+            if self.d:  # else 1 - d = 1: the r = 1 log is the orbit's j = 0
+                lone = lone - 2 * self.c[0] * _atanh_rest(y)
             turn = np.subtract.outer(np.arange(g), np.arange(g)) % g
             # [c, ..., p, s] = w[(p - s) mod g, c], size 1 on z's leading axes
             circulants = w.T[:, turn].reshape(-1, *[1] * (np.ndim(z) - 1), g, g)
             classes = np.flatnonzero(w.any(axis=0))
-            size = max(1, _ORBIT_BLOCK // max(1, np.size(z)))
+            size = max(1, _ORBIT_BLOCK // max(1, np.size(y)))
             for i in range(0, len(classes), size):
                 c = classes[i:i + size]
-                rows = rest(np.multiply.outer(roots[c], y)).reshape(
-                    len(c), *np.shape(z)[:-1], g, -1)
-                logs = logs - (circulants[c] @ rows).sum(0).reshape(np.shape(z))
+                rest = _atanh_rest(np.multiply.outer(roots[c], y))
+                rows = rest.reshape(len(c), *np.shape(y)[:-1], g, -1)
+                lone = lone - (circulants[c] @ rows).sum(0).reshape(np.shape(y))
+            logs = (logs.reshape(*np.shape(y)[:-1], 2, -1) + lone[..., None, :]
+                    ).reshape(np.shape(z)) if half else lone
         return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
 
     def odd_integrals(self, z):
