@@ -168,7 +168,9 @@ class TermTable(NamedTuple):
             if half:  # the first K/2 nodes as h rows; term t turns shift[t] rows
                 K, h = np.shape(z)[-1], g // 2 if g % 2 == 0 else g
                 shift = np.arange(g) * (K // g) % (K // 2) // (K // (2 * h))
-                w, g = np.equal.outer(np.arange(h), shift) @ w, h
+                folded = np.zeros((h, w.shape[1]), complex)
+                np.add.at(folded, shift, w)  # terms sharing a turn add weights
+                w, g = folded, h
                 y, lone = z[..., :K // 2], 0
             if self.d:  # else 1 - d = 1: the r = 1 log is the orbit's j = 0
                 lone = lone - 2 * self.c[0] * _atanh_rest(y)
