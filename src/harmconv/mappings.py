@@ -40,7 +40,7 @@ import numpy as np
 from ._core import (SINGULARITY_GUARD, check_a, finish, instance,
                     norm_theta, positive_int, prepare)
 from .errors import DomainError, ParameterError, SingularityError
-from .special import li2
+from .special import _log, li2
 
 # the parameters each family takes, and the check of each
 _PARAMETERS = {"F0": (), "Fa": ("a",), "F1": ("theta",), "Fn": ("theta", "n")}
@@ -100,7 +100,7 @@ class TermTable(NamedTuple):
         phi = _phi(self.d * w) if self.d else 0.5  # phi(0) at theta = pi
         h = self.alpha * w - self.k * w * w * phi
         for c, r in zip(self.c, self.r):
-            h = h + c * np.log(1 - r * z)
+            h = h + c * _log(1 - r * z)
         return h, self.s * w - h
 
     def primes(self, z):
@@ -193,19 +193,29 @@ class TermTable(NamedTuple):
         with L = log((1+z)/(1-z)): alpha L - 2k F for w and the pair, plus
         c (Li2(-rz) - Li2(rz)) per lone log, for h; s L minus that for g.
         F, the second divided difference of chi_2(rz) at r = 1, 1, 1-d, is
-        ``_chi_series`` where rho = |d| max(1, |z/(1-z)|, |z/(1+z)|) < 1/4,
-        else chi = Li2(-rz) - Li2(rz) at r = 1 - d and r = 1 (r[0] for n > 1)
-        over d^2, where 1/d^2 <= 16 (rho/d)^2.  z may have any shape."""
+        ``_chi_series`` at the near points, where rho = |d| max(1, |z/(1-z)|,
+        |z/(1+z)|) < 1/4, and at the far points chi = Li2(-rz) - Li2(rz) at
+        r = 1 - d and r = 1 (r[0] for n > 1) over d^2, where 1/d^2 <= 16
+        (rho/d)^2.  One ``li2`` call takes the lone logs' roots at every point
+        and the far route's extra roots at the far points only.  z may have
+        any shape."""
         L = 2 * z * (1 + z * z * _atanh_rest(z))
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
         near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
-        r = self.r if near.all() else np.append(self.r if m else 1, 1 - d)
-        zr = np.multiply.outer(z, r)  # chi = Li2(-rz) - Li2(rz), roots last
-        chi = np.subtract(*li2(np.multiply.outer((-1, 1), zr))) if len(r) else 0
-        ih = self.alpha * L + (chi[..., :m] @ self.c if m else 0)
-        pair = np.empty_like(z)  # -2k F; far: chi at r[0] = 1, r[-1] = 1 - d
-        if len(r) > m:
-            pair = self.k / d * ((chi[..., -1] - chi[..., 0]) / d - L)
+        extra = [1 - d] if m else [1, 1 - d]  # root 1 is r[0] for n > 1
+        # chi = Li2(-rz) - Li2(rz) at the lone roots at every point, then at
+        # the extra roots at the far points
+        y = np.concatenate((np.multiply.outer(z, self.r).ravel(),
+                            np.multiply.outer(z[~near], extra).ravel()))
+        chi = np.subtract(*li2(np.multiply.outer((-1, 1), y))) if len(y) else y
+        chi_r = chi[:z.size * m].reshape(*z.shape, m)
+        chi_f = chi[z.size * m:].reshape(-1, len(extra))
+        ih = self.alpha * L + (chi_r @ self.c if m else 0)
+        pair = np.empty_like(z)  # -2k F
+        if not near.all():  # chi at r = 1 and 1 - d
+            far = ~near
+            one = chi_r[..., 0][far] if m else chi_f[:, 0]
+            pair[far] = self.k / d * ((chi_f[:, -1] - one) / d - L[far])
         if near.any():
             pair[near] = -2 * self.k * _chi_series(d, w[near], v[near], L[near] / 2)
         return ih + pair, self.s * L - ih - pair
@@ -214,10 +224,12 @@ class TermTable(NamedTuple):
 def _atanh_rest(y):
     # E(y) = (atanh(y)/y - 1)/y^2 = 1/3 + y^2/5 + ... + y^16/19 + ... by
     # that series below |y| = 0.1, where the subtraction would cancel;
-    # above it atanh(y) = log((1+y)/(1-y))/2 costs E at most 3 eps/|y|^3
+    # above it atanh(y) = log((1+y)/(1-y))/2, the log by _log: the
+    # quotient's rounding, about eps absolute in its log, leaves E within
+    # about 6 eps/|y|^3 relative
     small = np.abs(y) < 0.1
     x = np.where(small, 0.5, y)  # placeholder: the series replaces it
-    out = np.asarray((np.log((1 + x) / (1 - x)) / (2 * x) - 1) / (x * x))
+    out = np.asarray((_log((1 + x) / (1 - x)) / (2 * x) - 1) / (x * x))
     if small.any():
         t, acc = y[small] ** 2, 0
         for j in range(19, 1, -2):

@@ -481,6 +481,37 @@ def test_far_route_evaluates_each_root_once(monkeypatch):
     assert len({row.tobytes() for row in rows}) == len(rows)
 
 
+@pytest.mark.parametrize("right", [
+    make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
+    make_mapping("Fn", n=2, theta=math.pi), make_mapping("Fn", n=2, theta=3),
+    make_mapping("Fn", n=2, theta=3.1), make_mapping("Fn", n=3, theta=math.pi / 4)],
+    ids=["F0", "F1", "Fn2-pi", "Fn2-3", "Fn2-3.1", "Fn3-pi/4"])
+def test_each_point_takes_its_own_route(right, monkeypatch):
+    # odd_integrals' li2 takes 2 elements per lone-log root at every point,
+    # and the far pair's 2 more (root 1 - d) only at the far points, where
+    # rho = |d| max(1, |z/(1-z)|, |z/(1+z)|) >= 1/4, 4 (root 1 too) for a
+    # table with no lone log; a point's value is the one it has alone
+    sizes = []
+
+    def spy(y):
+        sizes.append(y.size)
+        return li2(y)
+
+    rng = np.random.default_rng(32)
+    z = 0.99 * np.sqrt(rng.uniform(size=400)) * np.exp(
+        2j * math.pi * rng.uniform(size=400))
+    spec, t = ConvolutionSpec(0.5, right), mappings.term_table(right)
+    alone = np.array([conv_value(spec, p) for p in z])
+    monkeypatch.setattr(mappings, "li2", spy)
+    got = conv_value(spec, z)
+    rho = abs(t.d) * np.maximum(1, np.maximum(abs(z / (1 - z)), abs(z / (1 + z))))
+    m, far = len(t.r), np.count_nonzero(rho >= 0.25)
+    assert sum(sizes) == 2 * m * z.size + (2 if m else 4) * far
+    if right.theta in (3, 3.1):
+        assert 0 < far < z.size  # both routes in one call
+    assert np.all(np.abs(got - alone) <= 1e-13 * np.maximum(1, np.abs(alone)))
+
+
 LOG_JET_RIGHTS = [make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
                   make_mapping("F1", theta=math.pi - 1e-6)] + [
     make_mapping("Fn", n=n, theta=theta)

@@ -8,7 +8,7 @@ from harmconv import (DomainError, MappingSpec, ParameterError,
                       eval_g_prime, eval_h, eval_h_prime, make_mapping,
                       series_derivative, series_eval, singular_points,
                       taylor_of_mapping)
-from harmconv.mappings import term_table
+from harmconv.mappings import _atanh_rest, term_table
 
 RNG = np.random.default_rng(21)
 
@@ -220,3 +220,29 @@ def test_singular_points_sets():
     got = singular_points(make_mapping("Fn", n=4, theta=math.pi))
     want = np.exp(2j * math.pi * np.arange(4) / 4)
     assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) < 1e-12
+
+
+def test_atanh_rest_against_mpmath():
+    # E(y) = (atanh(y)/y - 1)/y^2 off the series, 0.1 <= |y| < 1 - 1e-9,
+    # half of the points within 1e-2 of the imaginary axis, where the
+    # quotient (1+y)/(1-y) has modulus near 1: within 8 eps/|y|^3 relative
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    count = 3000
+    mod = 1 - np.exp(rng.uniform(math.log(1e-9), math.log(0.9), 2 * count))
+    axis = rng.choice([-1, 1], count) * math.pi / 2 + rng.uniform(-1e-2, 1e-2, count)
+    y = mod * np.exp(1j * np.concatenate([rng.uniform(-math.pi, math.pi, count), axis]))
+    got = _atanh_rest(y)
+    with mp.workdps(50):
+        err = np.array([float(abs(mp.mpc(g) / ((mp.atanh(v) / v - 1) / v ** 2) - 1))
+                        for g, v in zip(got, map(mp.mpc, y))])
+    assert np.all(err <= 8 * np.finfo(float).eps / np.abs(y) ** 3)
+
+
+@pytest.mark.parametrize("y", [np.float64(0.5), np.array([0.05, -0.3, 0.9])],
+                         ids=["float64", "array"])
+def test_atanh_rest_of_real_input_is_real(y):
+    # J_boundary sends a real np.float64 through _phi to _atanh_rest
+    got = _atanh_rest(y)
+    assert not np.iscomplexobj(got)
+    assert np.allclose(got, (np.arctanh(y) / y - 1) / y ** 2, rtol=1e-13)

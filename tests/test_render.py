@@ -132,8 +132,16 @@ def curve_params(fig):
             + [s * np.exp(2j * math.pi * k / fig.rays) for k in range(fig.rays)])
 
 
+# Fn n=2 at theta = 3 and 3.1 (a=0.5): curves near z = 1 take the far
+# dilogarithm route and the rest the series, so blocks mix the two
+MIXED_SPECS = [ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=theta))
+               for theta in (3, 3.1)]
+MIXED_IDS = ["Fn2-3", "Fn2-3.1"]
+
+
 @pytest.mark.parametrize("size", FIGURES)
-@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=BLOCK_IDS)
+@pytest.mark.parametrize("spec", BLOCK_SPECS + MIXED_SPECS,
+                         ids=BLOCK_IDS + MIXED_IDS)
 def test_blocks_match_one_call_per_curve(spec, size):
     # curves sent to conv_value in blocks come back as conv_value gives
     # them one curve a call

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from harmconv import DomainError, li2
+from harmconv.special import _log
 
 PI2_6 = math.pi ** 2 / 6
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
@@ -139,3 +140,43 @@ def test_li2_reflection_identity(r, t):
     assume(z != 1)
     rhs = PI2_6 - np.log(z) * np.log(1 - z)
     assert abs(li2(z) + li2(1 - z) - rhs) < 1e-14
+
+
+def test_log_against_mpmath_with_numpys_branch_cut():
+    # log|w| + i arg w on |w| from 1e-3 to 1e3, dense in [0.7, 1.5] (where
+    # np.log's complex loop takes its exact slow path), within 4 eps of
+    # max(1, |log w|); |w|^2 would leave the floats at 1e+-200, |w| does
+    # not; on the negative real axis the sign of a zero imaginary part
+    # picks the side of the cut, as in np.log
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(13)
+    mod = np.concatenate([np.exp(rng.uniform(-math.log(1e3), math.log(1e3), 1000)),
+                          rng.uniform(0.7, 1.5, 2000)])
+    w = mod * np.exp(1j * rng.uniform(-math.pi, math.pi, mod.size))
+    above, below = np.zeros((2, 41), complex)
+    above.real = below.real = -np.geomspace(1e-3, 1e3, 41)
+    below.imag = -0.0
+    w = np.concatenate([w, [1e200 * np.exp(1j), 1e-200 * np.exp(-2j)],
+                        above, below, [1, -1, 1j, -1j, 0.7, 1.5]])
+    got = _log(w)
+    assert np.array_equal(np.signbit(got.imag), np.signbit(np.log(w).imag))
+    assert np.all(got[-88:-47].imag == math.pi)
+    assert np.all(got[-47:-6].imag == -math.pi)
+    with mp.workdps(50):
+        # mpmath has no signed zero: below the cut is the conjugate of above
+        ref = [mp.log(mp.mpc(v.real, abs(v.imag))) for v in w]
+        ref = [mp.conj(r) if math.copysign(1, v.imag) < 0 else r
+               for r, v in zip(ref, w)]
+        err = np.array([float(abs(mp.mpc(g) - r)) for g, r in zip(got, ref)])
+    eps = np.finfo(float).eps
+    assert np.all(err <= 4 * eps * np.maximum(1, np.abs(got)))
+
+
+@pytest.mark.parametrize("w", [np.float64(0.3), 2.0, np.array([0.5, 1.0, 7.0])],
+                         ids=["float64", "float", "array"])
+def test_log_of_real_input_is_real(w):
+    # a real argument keeps np.log's real loop: no complex result, which a
+    # caller storing into a real array would reject
+    got = _log(w)
+    assert not np.iscomplexobj(got)
+    assert np.array_equal(got, np.log(w))
