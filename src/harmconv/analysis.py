@@ -192,10 +192,17 @@ class UnivalencyReport:
         if not self.violations:
             return head + ',\n  "violations": []\n}'
         zs, ms = zip(*self.violations)
-        columns = [json.dumps(col)[1:-1].split(", ") for col in (
-            ms, [float(z.imag) for z in zs], [float(z.real) for z in zs])]
-        entries = ",\n".join(_VIOLATION % row for row in zip(*columns))
-        return f'{head},\n  "violations": [\n{entries}\n  ]\n}}'
+        # the template a %s b %s c %s d takes an entry's modulus, im and re;
+        # d ",\n" a joins one entry to the next
+        a, b, c, d = _VIOLATION.split("%s")
+        k = len(ms)
+        parts = [f"{d},\n{a}"] * (6 * k)
+        parts[0::6], parts[2::6], parts[4::6] = (
+            json.dumps(col)[1:-1].split(", ") for col in (
+                ms, [float(z.imag) for z in zs], [float(z.real) for z in zs]))
+        parts[1::6], parts[3::6] = [b] * k, [c] * k
+        parts[-1] = d
+        return f'{head},\n  "violations": [\n{a}{"".join(parts)}\n  ]\n}}'
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnivalencyReport":

@@ -210,7 +210,7 @@ class TermTable(NamedTuple):
         chi = np.subtract(*li2(np.multiply.outer((-1, 1), y))) if len(y) else y
         chi_r = chi[:z.size * m].reshape(*z.shape, m)
         chi_f = chi[z.size * m:].reshape(-1, len(extra))
-        ih = self.alpha * L + (chi_r @ self.c if m else 0)
+        ih = self.alpha * L + ((chi_r * self.c).sum(-1) if m else 0)
         pair = np.empty_like(z)  # -2k F
         if not near.all():  # chi at r = 1 and 1 - d
             far = ~near

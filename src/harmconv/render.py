@@ -1,7 +1,11 @@
 """SVG webbing plots: the unit disk's image under a convolved mapping,
 drawn as concentric ring images and radial segment images.
 
-Output is plain SVG 1.1 text, byte-identical for identical inputs.
+Output is plain SVG 1.1 text, byte-identical for identical inputs.  Every
+number is written as ``"%.6f" % value``.  The polyline vertices, about
+35,000 numbers in a default figure, go through ``_points``, a numpy
+formatter that writes the same bytes as ``%`` without a Python call per
+vertex; a block of curves it cannot prove exact falls back to ``%``.
 """
 import math
 import re
@@ -65,6 +69,82 @@ def _curves(spec: ConvolutionSpec, fig: FigureSpec):
     return np.split(np.concatenate(values), ends)
 
 
+# the most vertices one _points call formats, in whole curves (a longer curve
+# goes alone): a default F1 figure's traced peak stays 2,839 KiB, as with one
+# % call a vertex, where one call a figure raised it to 3,680 KiB
+_TEXT_BLOCK = 2 ** 12
+# y = |v| 10^6 below this rounds to an integer of at most 15 digits, nine
+# before the point, which float64 and int64 hold exactly
+_TEXT_LIMIT = 1e15 - 0.5
+# the three digits of k = 0..999 in bytes 1-3 of a little-endian 32-bit word,
+# byte 0 left free for a sign or a point.  Rows 1000 + k are for a group with
+# no digit shown before it: k's leading zeros are NUL bytes, and 0 is all NUL;
+# rows 2000 + k are for such a group just before the point, where 0 is "0"
+_k = np.arange(1000)[:, None]
+_shown = _k >= [100, 10, 1]
+_WORDS = (((ord("0") + _k // [100, 10, 1] % 10)
+           * np.stack((np.ones_like(_shown), _shown, _shown | [0, 0, 1])))
+          << [8, 16, 24]).sum(-1).astype("<u4").ravel()
+del _k, _shown
+# "," after x and " " after y, in byte 3 of the last word of each number
+_SEPARATORS = np.array([ord(","), ord(" ")], "<u4") << 24
+_point = f"{_FMT},{_FMT}".__mod__
+
+
+def _points(curves):
+    """The ``points`` text of each curve: ``" ".join("%.6f,%.6f" % (x, y))``
+    over its vertices, x = Re and y = -Im (SVG y points down), byte for byte.
+
+    ``%.6f`` prints p = |v| 10^6 correctly rounded to an integer, half to
+    even.  10^6 is a float and rounding is monotone, so the float product y
+    lies on the same side of every half-integer h as p, or on h itself; below
+    2^52 every h is a float and y - floor(y) is exact.  So wherever y is not
+    a half-integer, ``np.rint(y)`` is the integer ``%`` prints.  A product
+    that lands on a half (a tie, or p within about an ulp of one) could round
+    either way.  The digits go into 32-bit words of three, NUL bytes stand
+    for leading zeros, and one ``translate`` removes them; the sign comes
+    from ``np.signbit``, so -0.0 and -1e-9 print "-0.000000" as with ``%``.
+    If any value of the block lands on a half, is not finite or would print
+    more than nine digits before the point (|v| >= 10^9 - 5e-7), the whole
+    block takes the ``%`` route instead."""
+    c = np.concatenate(curves)
+    v = np.stack((c.real, -c.imag), -1)
+    y = np.abs(v) * 1e6
+    if not (np.all(y < _TEXT_LIMIT)  # NaN and inf fail here
+            and np.all(y - np.floor(y) != 0.5)):
+        return [" ".join(map(_point, zip(z.real, -z.imag))) for z in curves]
+    whole, frac = np.divmod(np.rint(y).astype(np.int64), 10 ** 6)
+    top = int(whole.max())
+    groups = 1 + (top >= 1000) + (top >= 10 ** 6)
+    # per vertex: x's words, then y's: integer groups, ".ddd", "ddd" + separator
+    words = np.empty((len(c), 2, groups + 2), "<u4")
+    hi, lo = np.divmod(frac, 1000)
+    words[..., -2] = np.take(_WORDS, hi) | ord(".")
+    words[..., -1] = (np.take(_WORDS, lo) >> 8) | _SEPARATORS
+    ends = np.cumsum([len(z) for z in curves]) - 1
+    words[ends, 1, -1] ^= (ord(" ") ^ ord("\n")) << 24  # "\n" ends a curve
+    for j in range(groups - 1, 0, -1):  # all but the leading group
+        whole, r = np.divmod(whole, 1000)
+        words[..., j] = np.take(
+            _WORDS, r + (whole == 0) * (2000 if j == groups - 1 else 1000))
+    words[..., 0] = (np.take(_WORDS, whole + (2000 if groups == 1 else 1000))
+                     | np.signbit(v) * np.uint32(ord("-")))
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    return text.split("\n")[:-1]
+
+
+def _polylines(curves):
+    """``_points`` of every curve, in blocks of whole curves of at most
+    _TEXT_BLOCK vertices (a longer curve goes alone)."""
+    text, first, size = [], 0, 0
+    for i, c in enumerate(curves):
+        if size and size + len(c) > _TEXT_BLOCK:
+            text += _points(curves[first:i])
+            first, size = i, 0
+        size += len(c)
+    return text + _points(curves[first:])
+
+
 def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
                    stroke: str = "#1f3d7a", stroke_width: float = 1.0) -> str:
     """Render the disk image webbing as an SVG document string.
@@ -99,10 +179,7 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
         "<!-- dropped samples: 0 -->",
         f'<g fill="none" stroke="{stroke}" stroke-width="{_FMT % sw}">',
     ]
-    point = f"{_FMT},{_FMT}".__mod__
-    for c in curves:
-        pts = " ".join(map(point, zip(c.real, -c.imag)))
-        lines.append(f'<polyline points="{pts}"/>')
+    lines += [f'<polyline points="{pts}"/>' for pts in _polylines(curves)]
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

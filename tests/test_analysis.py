@@ -286,6 +286,10 @@ class TestScan:
                               (complex(-0.0, -0.5), 2)], grid, [0.1 + 0.1j]),
             UnivalencyReport(math.nan, None, [], grid, []),
             UnivalencyReport(0.3, -0.5j, [], grid, [0.2j, -0.3 + 0j]),
+            # one entry and two: the first, the last and the joining pieces
+            UnivalencyReport(2, 0.5 + 0j, [(0.25 - 0.25j, 2)], grid, []),
+            UnivalencyReport(2, None, [(0j, math.nan), (-0.5j, math.inf)],
+                             grid, []),
         ]
         for rep in reports:
             assert rep.to_json() == json.dumps(rep.to_dict(), indent=2,

@@ -183,3 +183,134 @@ def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
     assert len(seen) == CALLS[size][k]
     if BLOCK_IDS[k] == "Fn15-pi" and size == "default":
         assert alone.all() and min(elements) > render._RENDER_BLOCK
+
+
+def one_curve(xs, ys):
+    """A curve whose vertices the SVG writes as (x, y): y is -Im."""
+    c = np.empty(len(xs), complex)
+    c.real, c.imag = xs, np.negative(ys)
+    return c
+
+
+def percent(xs, ys):
+    return " ".join(f"{'%.6f' % x},{'%.6f' % y}" for x, y in zip(xs, ys))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The vertices _points writes by the % route."""
+    seen = []
+
+    def spy(xy):
+        seen.append(xy)
+        return "%.6f,%.6f" % xy
+
+    monkeypatch.setattr(render, "_point", spy)
+    return seen
+
+
+# values the vectorised route writes: signed zeros, values just below and
+# past a half (to 0 and to 1e-6), carries into a new digit and a new digit
+# group, nine integer digits, subnormals
+FAST = [0.0, -0.0, -1e-9, 4e-7, -5e-7 * (1 + 1e-9), 9.9999996, 999.9999996,
+        999999.9999996, 999999999.0, -123456789.1234564, 5e-324, 1e-310]
+# values it must leave to %: exact ties (0.0078125 * 10^6 = 7812.5), a
+# printed integer part past nine digits, and numbers that are not finite
+SLOW = [0.0078125, -0.0234375, 1.0078125, 999999999.9999996, 1e9, -1e9, 2e9,
+        1e300, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("v", FAST + SLOW)
+def test_points_write_each_value_as_percent(v, fallbacks):
+    got = render._points([one_curve([v], [-v])])
+    assert got == [percent([v], [-v])]
+    assert bool(fallbacks) == (v in SLOW or math.isnan(v))
+
+
+@pytest.mark.parametrize("k", [0, 1, 12, 7812, 123456, 10 ** 9 + 7,
+                               10 ** 12 + 3, 10 ** 14 + 1])
+def test_points_near_a_half(k, fallbacks):
+    # the values within four ulps of (k + 1/2) 10^-6, one call each: those
+    # whose float product v 10^6 is a half-integer fall back, the others go
+    # the vectorised way, and all of them print as %
+    v = (k + 0.5) / 1e6
+    values = v + np.spacing(v) * np.arange(-4, 5)
+    on_half = 0
+    for x in values:
+        before = len(fallbacks)
+        assert render._points([one_curve([x], [x])]) == [percent([x], [x])]
+        assert (len(fallbacks) > before) == (x * 1e6 % 1 == 0.5)
+        on_half += x * 1e6 % 1 == 0.5
+    assert 0 < on_half < len(values)
+
+
+def test_points_random_values(fallbacks):
+    # 10^5 values at scales from 1e-7 to 1e8, in curves of 50 vertices;
+    # sorted by size, the rare values whose product lands on a half share
+    # few curves
+    rng = np.random.default_rng(21)
+    v = rng.choice((-1.0, 1.0), 10 ** 5) * 10 ** rng.uniform(-7, 8, 10 ** 5)
+    v = v[np.argsort(np.abs(v))].reshape(-1, 2, 50)
+    got = [s for xs, ys in v for s in render._points([one_curve(xs, ys)])]
+    assert got == [percent(xs, ys) for xs, ys in v]
+    assert len(fallbacks) < 5000  # of 50,000 vertices: 1,850 with this seed
+
+
+def test_points_split_curves_and_join_vertices():
+    # one call: several curves, one string each, and values of one to three
+    # digit groups side by side, so small ones sit behind all-NUL groups
+    curves = [one_curve([0.5, -1.25], [2.0, 0.0]), one_curve([3.0], [-4.0]),
+              one_curve([1e3, 1e6, 1e8], [-1e-6, 7e-6, 1.5e5])]
+    assert render._points(curves) == [percent(c.real, -c.imag) for c in curves]
+
+
+PERFBENCH_FIGURES = [
+    (spec_f1(0.8), "default"),
+    (ConvolutionSpec(-0.5, make_mapping("F1", theta=-2 * math.pi / 3)), "default"),
+    (BLOCK_SPECS[0], "reduced"),
+    (BLOCK_SPECS[2], "reduced"),
+    (BLOCK_SPECS[3], "reduced"),
+    (BLOCK_SPECS[4], "reduced"),
+] + [(spec, size) for spec in MIXED_SPECS for size in FIGURES]
+PERFBENCH_IDS = ["F1-pi/6", "F1--2pi/3", "F0", "Fn2-pi", "Fn15-pi", "Fn3-pi/4",
+                 ] + [f"{i}-{size}" for i in MIXED_IDS for size in FIGURES]
+
+
+@pytest.mark.parametrize("spec,size", PERFBENCH_FIGURES, ids=PERFBENCH_IDS)
+def test_svg_matches_the_per_point_route(spec, size, monkeypatch, fallbacks):
+    # the whole document, against the vertices written one % call each; no
+    # vertex of these figures needs the % route
+    fig = FIGURES[size]
+    svg = render_webbing(spec, fig)
+    assert not fallbacks
+    monkeypatch.setattr(render, "_polylines", lambda curves: [
+        " ".join("%.6f,%.6f" % (x, y) for x, y in zip(c.real, -c.imag))
+        for c in curves])
+    assert svg == render_webbing(spec, fig)
+
+
+@pytest.mark.parametrize("fig,calls", [
+    (FigureSpec(), 5), (FIGURES["reduced"], 1),
+    (FigureSpec(rings=1, rays=2, samples_per_curve=5000), 3),
+    (FigureSpec(rings=3, rays=9, samples_per_curve=1500), 6),
+], ids=["default", "reduced", "long-curves", "uneven"])
+def test_each_text_block_takes_whole_curves_within_the_budget(
+        fig, calls, monkeypatch):
+    # _points gets consecutive whole curves of at most _TEXT_BLOCK vertices
+    # in all, or one curve longer than that
+    curves = _curves(spec_f1(), fig)
+    seen = []
+
+    def spy(block):
+        seen.append(block)
+        return points(block)
+
+    points = render._points
+    monkeypatch.setattr(render, "_points", spy)
+    assert render._polylines(curves) == points(curves)
+    assert list(map(id, (c for block in seen for c in block))) == list(
+        map(id, curves))
+    for block in seen:
+        size = sum(len(c) for c in block)
+        assert size <= render._TEXT_BLOCK or len(block) == 1
+    assert len(seen) == calls
