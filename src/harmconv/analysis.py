@@ -7,9 +7,11 @@ term cancels (the real part also from the piecewise argument analysis),
 and the univalency radius by a safeguarded regula falsi on the log of the
 circle maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no
 zeros (maximum modulus principle), out to |z| = 1 - 1e-6.  Each circle
-maximum is the top of a 1440-node ring, refined at the ring's peaks by
-Newton steps in angle on log(Gp/Hp).  The dilatation on a ring and its
-Newton jets come from ``convolution`` by spec; only J reads a term table.
+maximum is the top of a ring of at least 1440 nodes and at least eight a
+period of z^n, refined at the ring's peaks by Newton steps in angle on
+log(Gp/Hp).  Scan rows and radius rings are built and evaluated
+by ``convolution._ring_moduli``, and the Newton jets come from
+``convolution`` too, by spec; only J reads a term table.
 """
 import json
 import math
@@ -21,7 +23,7 @@ import numpy as np
 from ._core import (MAX_RADIUS, check_a, coefficients, finish, instance,
                     positive_int, prepare, real)
 from .convolution import (ConvolutionSpec, _log_jets, _odd_guard,
-                          _ring_dilatation)
+                          _ring_moduli)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import _phi, make_mapping, term_table
@@ -73,22 +75,40 @@ def zeros_in_unit_disk(p: Poly) -> int:
     coefficient of modulus 1 before it is reduced, which leaves its zeros
     unchanged: a reduction about squares the coefficients' size, so
     unscaled they overflow or underflow within a few dozen steps.  End
-    coefficients of equal modulus (to 1e-10, scaled) at any step raise
-    BoundaryDegenerateError, with or without a zero on the unit circle:
-    Poly([1, -2.5, 1]), whose zeros are 0.5 and 2, raises it.
+    coefficients of equal modulus (to 1e-10, scaled) at a step tie, with or
+    without a zero on the unit circle (zeros 0.5 and 2 tie).  A tie counts
+    the zeros of q(rho z), q the polynomial of that step, at rho = 1 - 1e-6
+    and 1 + 1e-6, those of q within |z| < rho: equal counts leave no zero
+    between the two circles and are q's count.  BoundaryDegenerateError is
+    raised when the counts differ, as for a zero on the unit circle, or
+    when a step of either count ties again, as for 25 equispaced zeros on
+    |z| = 0.5 and 25 on |z| = 2 (whose scaled end coefficients differ by
+    1.5e-12 at rho = 1 -+ 1e-6, and tie at 1 -+ 1e-5 too).
     """
-    d = instance(p, Poly, "p").degree
+    return _cohn_count(instance(p, Poly, "p"), True)
+
+
+def _cohn_count(p, retry):
+    # zeros_in_unit_disk; a tie retries on the circles 1 -+ 1e-6 if retry
+    d = p.degree
     if d == 0:
         return 0
     c = p.coeffs / np.max(np.abs(p.coeffs))
     a0m, adm = abs(c[0]), abs(c[-1])
     if abs(a0m - adm) <= 1e-10:
-        raise BoundaryDegenerateError(
-            "end coefficients have equal modulus; no Cohn step applies")
+        # p(rho z) counts p's zeros in |z| < rho: if the two counts agree,
+        # no zero lies between the circles
+        counts = {_cohn_count(Poly(c * rho ** np.arange(d + 1)), False)
+                  for rho in ((1 - 1e-6, 1 + 1e-6) if retry else ())}
+        if len(counts) != 1:
+            raise BoundaryDegenerateError(
+                "end coefficients have equal modulus, and the circles "
+                "|z| = 1 -+ 1e-6 do not settle the count")
+        return counts.pop()
     if a0m < adm:
-        return 1 + zeros_in_unit_disk(cohn_reduce(Poly(c)))
+        return 1 + _cohn_count(cohn_reduce(Poly(c)), retry)
     # reversal maps zeros to reciprocals, exchanging inside and outside
-    return d - zeros_in_unit_disk(Poly(c[::-1].copy()))
+    return d - _cohn_count(Poly(c[::-1].copy()), retry)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +254,13 @@ class UnivalencyReport:
         return cls.from_dict(d)
 
 
-# nodes per ``_ring_dilatation`` call in a scan, in whole rows (a row longer
-# than this goes alone).  Bytes: numpy reuses a temporary in place from 256
-# KiB (16,384 complex nodes) up, and then c * x for a complex scalar c runs
-# as x * c, whose loop rounds the last bit differently; under the bound each
-# block gives the row-by-row bits.  Memory: 8,192-node blocks ran as fast as
-# 15,840-node ones and, over one row a call, added a third of their traced
-# peak (0.6 against 1.7 MiB; a whole-grid call added 5.1 MiB).
-_SCAN_BLOCK = 2 ** 13
-
-
 def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     """Evaluate |dilatation| at every grid node, row-major over radii then
     angles.
 
-    The nodes are one array, the radii times the unit ring, whose rows go
-    to ``_ring_dilatation`` in blocks of whole rows, one call a block of at
-    most _SCAN_BLOCK nodes (a longer row goes alone); the critical points,
-    the argmax and the violations are read from that array.  Nodes where
+    The rows are the rings of ``convolution._ring_moduli``, the radii
+    times the unit ring, and the critical points, the argmax and the
+    violations are read from its nodes and moduli.  Nodes where
     the denominator vanishes are listed as critical points and excluded
     from the max/violation statistics.  GridSpec keeps every node within
     |z| <= MAX_RADIUS, clear of the unit-circle singularities, so the
@@ -259,11 +268,7 @@ def scan_dilatation(spec: ConvolutionSpec, grid: GridSpec) -> UnivalencyReport:
     """
     instance(spec, ConvolutionSpec, "spec")
     K = instance(grid, GridSpec, "grid").angles_count
-    z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
-    rows = max(1, _SCAN_BLOCK // K)
-    M = np.concatenate([np.abs(_ring_dilatation(spec, z[i:i + rows])).ravel()
-                        for i in range(0, len(z), rows)])
-    z = z.ravel()
+    z, M = (x.ravel() for x in _ring_moduli(spec, grid.radii, K))
     criticals = z[np.isinf(M)].tolist()
     M[~np.isfinite(M)] = -1  # critical nodes: out of the max and violations
     imax = int(np.argmax(M))
@@ -398,19 +403,24 @@ OUTER_RADIUS = 1 - 1e-6
 
 
 def _circle_max(spec, r):
-    """max |Gp/Hp| on |z| = r, inf at a critical node: the top of a 1440-node
-    ring, raised by three Newton steps on phi(t) = log |omega(r e^{it})| from
-    each of the ring's local maxima.  With L1 = omega'/omega and L2 = (log
-    omega)'' (``_log_jets``), phi' = Re(i z L1) and phi'' = Re(-z L1 - z^2
-    L2); a step is taken only where phi'' < 0 and is clipped to one ring
-    step.  The result is the largest |omega| of the ring and of four
-    ``_log_jets`` calls, at the peaks and after each step, so it is a value
-    at a point of the circle.  A ring that already reaches 1 is returned
-    unrefined: a sample is a lower bound of the maximum, so the circle fails
-    the search's test either way.  So is a ring of radius below 0.01, where
-    the derivatives' /z forms cancel."""
-    step = 2 * math.pi / 1440
-    mod = np.abs(_ring_dilatation(spec, r * np.exp(1j * step * np.arange(1440))))
+    """max |Gp/Hp| on |z| = r, inf at a critical node: the top of a ring of
+    K = n ceil(max(1440, 8n)/n) nodes (n = 1 for F0 and F1), eight or more
+    a period 2 pi/n of z^n and a multiple of n, so that Fn's orbit is one
+    rotation class (``_ring_moduli``), raised by three Newton steps on
+    phi(t) = log |omega(r e^{it})| from each of the ring's local maxima.
+    With L1 = omega'/omega and L2 = (log omega)'' (``_log_jets``), phi' =
+    Re(i z L1) and phi'' = Re(-z L1 - z^2 L2); a step is taken only where
+    phi'' < 0 and is clipped to one ring step.  The result is the largest
+    |omega| of the ring and of four ``_log_jets`` calls, at the peaks and
+    after each step, so it is a value at a point of the circle.  A ring
+    that already reaches 1 is returned unrefined: a sample is a lower bound
+    of the maximum, so the circle fails the search's test either way.  So
+    is a ring of radius below 0.01, where the derivatives' /z forms
+    cancel."""
+    n = spec.right.n or 1
+    K = n * -(-max(1440, 8 * n) // n)
+    step = 2 * math.pi / K
+    mod = _ring_moduli(spec, (r,), K)[1][0]
     top = np.max(mod)
     if top >= 1 or r < 0.01:
         return float(top)
@@ -444,13 +454,14 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     modulus principle, and unbounded toward a zero of Hp.  The search keeps
     a bracket [lo, hi] of [0, OUTER_RADIUS] with "no critical node and
     M < 1" at lo and not at hi, and narrows it by Illinois regula falsi on
-    log M(r), each probe at least tol/2 inside the bracket.  M is a 1440-node ring's
-    top raised by Newton steps from its peaks (``_circle_max``), always a
-    value at a point of the circle; a ring that already reaches 1 gives its
-    sample for M.  It bisects instead while log M is not finite at an end
-    (M(0) is never computed) and whenever the bracket has fallen behind one
-    halving per two probes, so it needs at most about twice the circles of a
-    plain bisection: 43 against 21 at tol = 1e-6.
+    log M(r), each probe at least tol/2 inside the bracket.  M is a ring's
+    top, 1440 nodes or more as n needs, raised by Newton steps from its
+    peaks (``_circle_max``), always a value at a point of the circle; a
+    ring that already reaches 1 gives its sample for M.  It bisects instead
+    while log M is not finite at an end (M(0) is never computed) and
+    whenever the bracket has fallen behind one halving per two probes, so
+    it needs at most about twice the circles of a plain bisection: 43
+    against 21 at tol = 1e-6.
     """
     instance(spec, ConvolutionSpec, "spec")
     tol = real(tol, "tol")

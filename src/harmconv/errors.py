@@ -37,8 +37,9 @@ class CohnInapplicableError(HarmconvError):
 
 
 class BoundaryDegenerateError(HarmconvError):
-    """A Schur-Cohn step met end coefficients of equal modulus, zeros on the
-    unit circle or not (zeros 0.5 and 2 give it); no reduction applies."""
+    """A Schur-Cohn step met end coefficients of equal modulus, and the
+    circles |z| = 1 -+ 1e-6 did not settle the count: they count different
+    zeros, as about a zero on the unit circle, or tie again."""
 
 
 class QuadratureError(HarmconvError):

@@ -137,7 +137,10 @@ class TermTable(NamedTuple):
         zeta = e^{-2 pi i/n}; j = 0 is the pair's root, weight 0, but at d = 0
         it is 1 and takes the r = 1 log.  g = None takes any z.  Otherwise g
         divides n and K = z.shape[-1], and each row on z's last axis must be
-        a ring z_0 e^{2 pi i k/K}, k < K, with its own z_0.  The terms j = c +
+        a ring z_0 e^{2 pi i k/K}, k < K, with its own z_0: nothing checks
+        it.  ``convolution._ring_moduli`` builds its rings itself, with z_0
+        = r, so its rows meet it; a stack of rotated rings goes to
+        ``convolution._derivatives`` with its g.  The terms j = c +
         t n/g, t < g, of a class c < n/g share one E: r_j z_k = r_c z_(k -
         tK/g), so term j reads its class's E rotated by tK/g nodes within the
         ring.  With each ring as g rows of K/g, that is one g x g circulant of

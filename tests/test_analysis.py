@@ -65,6 +65,42 @@ class TestZeroCount:
         with pytest.raises(BoundaryDegenerateError):
             zeros_in_unit_disk(Poly([-1.0, 1.0]))
 
+    @staticmethod
+    def circles(count, r, s):
+        """count zeros on |z| = r and count on |z| = s, equispaced."""
+        ring = np.exp(2j * math.pi * np.arange(count) / count)
+        return Poly(np.poly(np.append(r * ring, s * ring))[::-1])
+
+    def test_tie_counts_on_nearby_circles(self):
+        # |a_0| = |a_d| whenever the zeros' moduli multiply to 1; a tie
+        # counts on |z| = 1 -+ 1e-6, and equal counts settle it
+        assert zeros_in_unit_disk(Poly([1.0, -2.5, 1.0])) == 1
+        assert zeros_in_unit_disk(Poly(np.poly([0.5, 2.0])[::-1])) == 1
+        assert zeros_in_unit_disk(self.circles(30, 0.9, 1 / 0.9)) == 30
+        # the counts differ across a zero on the circle, and 25 zeros on
+        # |z| = 0.5 and 25 on |z| = 2 tie on the nearby circles too
+        for p in (Poly([-1.0, 1.0]), Poly([1.0, -2.0, 1.0]),
+                  self.circles(25, 0.5, 2.0)):
+            with pytest.raises(BoundaryDegenerateError):
+                zeros_in_unit_disk(p)
+
+    def test_ties_against_companion_matrix(self):
+        # random zeros whose moduli multiply to 1, at least 0.01 from the
+        # unit circle: every one ties at the first step
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 200:
+            deg = int(rng.integers(2, 9))
+            mods = np.exp(rng.uniform(-1, 1, deg))
+            mods[-1] = 1 / np.prod(mods[:-1])
+            if np.min(np.abs(mods - 1)) < 1e-2:
+                continue
+            zs = mods * np.exp(1j * rng.uniform(0, 2 * math.pi, deg))
+            c = np.poly(zs)[::-1] * complex(*rng.normal(size=2))
+            want = int(np.sum(np.abs(np.roots(c[::-1])) < 1))
+            assert zeros_in_unit_disk(Poly(c)) == want, c
+            checked += 1
+
     def test_against_companion_matrix(self):
         checked = 0
         while checked < 1000:
@@ -196,7 +232,7 @@ class TestScan:
         ring = np.exp(2j * math.pi * np.arange(360) / 360)
         want = []
         for r in grid.radii:
-            mod = np.abs(convolution._ring_dilatation(spec, r * ring))
+            mod = convolution._ring_moduli(spec, (r,), 360)[1][0]
             want += [(complex(r * ring[k]), float(mod[k]))
                      for k in np.flatnonzero(mod >= 1)]
         got = scan_dilatation(spec, grid).violations
@@ -206,7 +242,7 @@ class TestScan:
     @pytest.mark.parametrize("right", [
         make_mapping("Fn", n=10, theta=-math.pi / 2),
         make_mapping("Fn", n=3, theta=math.pi / 4)], ids=["n10", "n3"])
-    def test_row_split_is_a_memory_choice_only(self, right):
+    def test_row_split_is_a_memory_choice_only(self, right, monkeypatch):
         # the scan asks for blocks of whole rows, at most 8,192 nodes a
         # call (test_blocks_give_the_row_by_row_bits); one call on the whole
         # grid finds the same argmax and violating nodes.  Its moduli agree
@@ -216,9 +252,9 @@ class TestScan:
         spec = ConvolutionSpec(0.7, right)
         grid = default_grid()
         K = grid.angles_count
-        z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
-        M = np.abs(convolution._ring_dilatation(spec, z)).ravel()
-        z = z.ravel()
+        with monkeypatch.context() as m:  # the whole grid in one call
+            m.setattr(convolution, "_RING_BLOCK", len(grid.radii) * K)
+            z, M = (x.ravel() for x in convolution._ring_moduli(spec, grid.radii, K))
         assert np.isfinite(M).all()
         rep = scan_dilatation(spec, grid)
         assert rep.argmax == complex(z[np.argmax(M)])
@@ -230,11 +266,11 @@ class TestScan:
 
     @staticmethod
     def assert_row_by_row_bits(spec, grid):
-        # the report against one _ring_dilatation call per row, bit for bit
+        # the report against one _ring_moduli call per row, bit for bit
         K = grid.angles_count
         z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
-        M = np.concatenate([np.abs(convolution._ring_dilatation(spec, row))
-                            for row in z])
+        M = np.concatenate([convolution._ring_moduli(spec, (r,), K)[1][0]
+                            for r in grid.radii])
         z = z.ravel()
         rep = scan_dilatation(spec, grid)
         assert np.isfinite(M).all() and rep.critical_points == []
@@ -264,14 +300,33 @@ class TestScan:
         # whole rows per call, up to 8,192 nodes; a longer row goes alone
         seen = []
 
-        def spy(spec, z):
+        def spy(a, t, z, g=None):
             seen.append(z.shape)
-            return convolution._ring_dilatation(spec, z)
+            return _derivatives(a, t, z, g)
 
-        monkeypatch.setattr(analysis, "_ring_dilatation", spy)
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
-        self.assert_row_by_row_bits(spec, grid)
+        with monkeypatch.context() as m:
+            m.setattr(convolution, "_derivatives", spy)
+            scan_dilatation(spec, grid)
         assert seen == shapes
+        self.assert_row_by_row_bits(spec, grid)
+
+    def test_ring_moduli_builds_the_scan_rings(self, monkeypatch):
+        # the nodes are the scan formula's, bit for bit, and a ring longer
+        # than the 8,192-node block goes to the kernel alone
+        seen = []
+
+        def spy(a, t, z, g=None):
+            seen.append((z.shape, g))
+            return _derivatives(a, t, z, g)
+
+        monkeypatch.setattr(convolution, "_derivatives", spy)
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=4, theta=math.pi / 4))
+        radii, K = (0.5, 0.9, 0.99), 20000
+        z, M = convolution._ring_moduli(spec, radii, K)
+        want = np.multiply.outer(radii, np.exp(2j * math.pi * np.arange(K) / K))
+        assert z.tobytes() == want.tobytes()
+        assert seen == [((1, K), 4)] * 3 and M.shape == (3, K)
 
     def test_json_matches_the_indenting_encoder(self):
         # to_json writes the violations from a template: byte for byte what
@@ -531,22 +586,25 @@ class TestB:
 class TestRingRoute:
     # scan rows and radius rings sum Fn's lone-log orbit one rotation class
     # at a time (g = gcd(n, K)); public conv_derivatives sums it log by log
-    @staticmethod
-    def routes(spec, z):
-        """omega on the stack of rings z, one ring of K nodes a row, by the
-        ring route, one ``_derivatives`` call a row, and by conv_derivatives,
-        after checking that one ``_ring_dilatation`` call on the stack equals
-        one call a row bit for bit, and that its moduli are the ring route's."""
+    @classmethod
+    def routes(cls, spec, radii, K, starts=0.0):
+        """omega on the rings of ``stack``, one ring a row, by the ring
+        route, one ``_derivatives`` call a row with g = gcd(n, K), and by
+        conv_derivatives, after checking that one ring-route call on the
+        stack equals one call a row bit for bit with no critical node, and,
+        on rings that start at angle 0, that ``_ring_moduli`` gives the same
+        nodes and moduli."""
+        z = cls.stack(radii, K, starts)
         t = term_table(spec.right)
+        g = math.gcd(t.n, K)
         w = np.empty_like(z)
         for i, row in enumerate(z):
-            Hp, Gp = _derivatives(spec.a, t, row, math.gcd(t.n, z.shape[-1]))
+            Hp, Gp = _derivatives(spec.a, t, row, g)
             w[i] = Gp / Hp
-        stack = convolution._ring_dilatation(spec, z)
-        rows = [convolution._ring_dilatation(spec, row) for row in z]
-        assert np.array_equal(stack, rows)
-        mod = np.abs(stack)
-        assert not np.isinf(mod).any() and np.array_equal(mod, np.abs(w))
+        assert np.array_equal(convolution._ratio(*_derivatives(spec.a, t, z, g)), w)
+        if not np.any(starts):
+            nodes, mod = convolution._ring_moduli(spec, radii, K)
+            assert np.array_equal(nodes, z) and np.array_equal(mod, np.abs(w))
         Hp0, Gp0 = conv_derivatives(spec, z)
         return w, Gp0 / Hp0
 
@@ -569,7 +627,7 @@ class TestRingRoute:
             for starts in (0.0, (0.3, -1.1, 2.9, 0.01)):
                 for a in (0.5, -0.5):
                     spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
-                    w, w0 = self.routes(spec, self.stack(radii, K, starts))
+                    w, w0 = self.routes(spec, radii, K, starts)
                     err = np.abs(w - w0) / np.maximum(1, np.abs(w0))
                     assert np.max(err) <= 1e-12, (K, starts, a)
 
@@ -594,7 +652,7 @@ class TestRingRoute:
             spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=0.7))
             pole = np.angle(term_table(spec.right).sing[1])
             starts = pole + (1 - r) / 2 * np.arange(-24, 25)
-            w, w0 = self.routes(spec, self.stack(np.full(49, r), n, starts))
+            w, w0 = self.routes(spec, np.full(49, r), n, starts)
             err = np.abs(w - w0) / np.maximum(1, np.abs(w0))
             assert np.max(err) <= 1e-12, a
 
@@ -603,14 +661,13 @@ class TestRingRoute:
         make_mapping("F1", theta=math.pi - 1e-6)], ids=["F0", "F1", "F1-near-pi"])
     def test_no_orbit_matches_bit_for_bit(self, right):
         for K in (720, 1440, 97):
-            z = self.stack((0.05, 0.5, 0.999), K)
             for a in (0.5, -0.5):
-                w, w0 = self.routes(ConvolutionSpec(a, right), z)
+                w, w0 = self.routes(ConvolutionSpec(a, right), (0.05, 0.5, 0.999), K)
                 assert np.array_equal(w, w0)
 
     @staticmethod
-    def atanh_sizes(spec, z, monkeypatch):
-        """The sizes of the ``_atanh_rest`` calls of one ring evaluation."""
+    def atanh_sizes(monkeypatch, evaluate, *args):
+        """The sizes of the ``_atanh_rest`` calls of evaluate(*args)."""
         sizes = []
         rest = mappings._atanh_rest
 
@@ -619,7 +676,7 @@ class TestRingRoute:
             return rest(y)
 
         monkeypatch.setattr(mappings, "_atanh_rest", spy)
-        convolution._ring_dilatation(spec, z)
+        evaluate(*args)
         return sizes
 
     @pytest.mark.parametrize("n", [2, 15, 40])
@@ -627,17 +684,21 @@ class TestRingRoute:
         # at theta = pi the pair's root 1 - d is 1, the r = 1 log's root, so
         # with n | K the whole lone-log sum is one class: one E row, and E
         # is even, so on an even ring it is taken on the first K/2 nodes
-        ring = np.exp(2j * math.pi * np.arange(720) / 720)
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=n, theta=math.pi))
-        assert sum(self.atanh_sizes(spec, 0.9 * ring, monkeypatch)) == 360
+        sizes = self.atanh_sizes(monkeypatch, convolution._ring_moduli, spec,
+                                 (0.9,), 720)
+        assert sum(sizes) == 360
 
     def test_odd_ring_takes_whole_atanh_rows(self, monkeypatch):
         # node k + K/2 exists only for even K: n = 15 on a 45-node ring keeps
         # its one class's E row on every node, and still matches term by term
         z = self.stack((0.5, 0.99), 45, (0.3, -1.1))
         spec = ConvolutionSpec(-0.2, make_mapping("Fn", n=15, theta=math.pi))
-        assert sum(self.atanh_sizes(spec, z, monkeypatch)) == 90
-        w, w0 = self.routes(spec, z)
+        t = term_table(spec.right)
+        sizes = self.atanh_sizes(monkeypatch, _derivatives, spec.a, t, z,
+                                 math.gcd(t.n, 45))
+        assert sum(sizes) == 90
+        w, w0 = self.routes(spec, (0.5, 0.99), 45, (0.3, -1.1))
         assert np.max(np.abs(w - w0) / np.maximum(1, np.abs(w0))) <= 1e-12
 
     def test_ring_route_against_series(self):
@@ -710,14 +771,16 @@ class TestRadius:
                 return f(*args)
             return wrapped
 
-        for name in ("_ring_dilatation", "_log_jets"):
+        for name in ("_ring_moduli", "_log_jets"):
             monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
-        ring = np.exp(1j * (2 * math.pi / 1440) * np.arange(1440))  # its ring
-        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.99 * ring)))
+        ring = np.exp(2j * math.pi * np.arange(1440) / 1440)  # its ring
+        z, mod = analysis._ring_moduli(spec, (0.99,), 1440)
+        assert np.array_equal(z, [0.99 * ring])
+        top = np.max(mod)
         calls.clear()
         assert top >= 1 and analysis._circle_max(spec, 0.99) == top
-        assert calls == ["_ring_dilatation"]  # the ring alone
-        top = np.max(np.abs(analysis._ring_dilatation(spec, 0.9 * ring)))
+        assert calls == ["_ring_moduli"]  # the ring alone
+        top = np.max(analysis._ring_moduli(spec, (0.9,), 1440)[1])
         m = analysis._circle_max(spec, 0.9)
         assert top <= m < 1
         assert abs(m - self.dense_max(spec, 0.9)) <= 1e-12
@@ -732,6 +795,23 @@ class TestRadius:
         spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
         r = univalency_radius(spec, 1e-6)
         assert abs(analysis._circle_max(spec, r) - self.dense_max(spec, r)) <= 1e-12
+
+    def test_ring_scales_with_n(self):
+        # a 1,440-node ring has 1.4 nodes a period 2 pi/n of z^n at n = 1024
+        # and gave r = 0.9996611680, where this check reads 1.000009; the
+        # search's ring has 8n nodes.  Checked term by term on 1,025 nodes
+        # across the two ring steps about the top of that ring
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=1024, theta=math.pi))
+        tol, K = 1e-6, 8192
+        r = univalency_radius(spec, tol)
+
+        def arc_max(rho):
+            k = np.argmax(convolution._ring_moduli(spec, (rho,), K)[1])
+            t = 2 * math.pi / K * (k + np.linspace(-1, 1, 1025))
+            Hp, Gp = conv_derivatives(spec, rho * np.exp(1j * t))
+            return np.max(np.abs(Gp / Hp))
+
+        assert arc_max(r) < 1 <= arc_max(r + tol)
 
     @pytest.mark.parametrize("a,n,theta", [(-0.98, 3, 1.8), (-0.98, 5, -0.8)],
                              ids=["n3", "n5"])
@@ -788,7 +868,9 @@ class TestCriticalPoints:
         z0 = self.zero_of_Hp()
         ring = np.exp(1j * cmath.phase(z0)) * np.exp(
             2j * math.pi * np.arange(720) / 720)
-        mod = np.abs(convolution._ring_dilatation(self.SPEC, abs(z0) * ring))
+        # a ring rotated onto z0, so through the kernel (n = 10 divides 720)
+        mod = np.abs(convolution._ratio(*_derivatives(
+            self.SPEC.a, term_table(self.SPEC.right), abs(z0) * ring, 10)))
         crit = abs(z0) * ring[np.isinf(mod)]
         assert len(crit) == 1 and abs(crit[0] - z0) <= 1e-15
         assert np.isinf(mod[0]) and np.all(np.isfinite(mod[1:]))
