@@ -16,14 +16,16 @@ by ``convolution._ring_moduli``, and the Newton jets come from
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ._core import (MAX_RADIUS, check_a, coefficients, finish, instance,
                     positive_int, prepare, real)
-from .convolution import (ConvolutionSpec, _log_jets, _odd_guard,
-                          _ring_moduli)
+from ._text import json_floats
+from .convolution import (ConvolutionSpec, _derivatives, _log_jets,
+                          _odd_guard, _ratio, _ring_moduli)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import _phi, make_mapping, term_table
@@ -177,6 +179,12 @@ _VIOLATION = """    {
     }"""
 
 
+def _padded(text, k):
+    # k rows of text, NUL-padded to whole 32-bit words
+    b = text.encode() + b"\0" * (-len(text) % 4)
+    return np.broadcast_to(np.frombuffer(b, "<u4"), (k, len(b) // 4))
+
+
 @dataclass
 class UnivalencyReport:
     """Outcome of a dilatation grid scan."""
@@ -206,23 +214,68 @@ class UnivalencyReport:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
         byte.  "violations" sorts last, so the rest goes through json and the
-        entries through a template; json formats their floats, one flat
-        column at a time, without the slow indenting encoder."""
+        entries through a template, a row of 32-bit words per entry in one
+        byte matrix, whose three floats ``_text.json_floats`` writes a
+        column at a time; one ``translate`` drops the NUL padding.
+
+        json writes a float x as ``float.__repr__``: the fewest digits q
+        that read back as x, the nearest such to x.  The writer finds them
+        for 1e-6 <= |x| < 1e13.  With E = floor(log10 |x|) and k = 16 - E
+        <= 22, 10^k is a float, and Dekker's two-product against 10^k split
+        in halves gives y = |x| 10^k = hi + lo exactly, y in [10^16, 10^17).
+        hi is an even integer there, so D = hi + rint(lo) is y rounded to
+        an integer, half to even, and delta = lo - rint(lo) = y - D is
+        exact.  Rounding y to q < 17 digits rounds u = (D mod 10^5) + delta
+        to a multiple of P = 10^(17 - q); the result reads back as x when it
+        lies within half an ulp of |x| times 10^k, an exact float h, and it
+        then reads back at P/10 too, so q is 17 less the number of P from 10
+        to 10^5 at which it does.  17 digits always read back.  u and the
+        distances are below 10^5 + 1 and carry at most a few roundings of
+        about 1e-11, so each comparison is exact unless a distance lies
+        within 1e-9 P of h or of P/2.
+
+        json's own encoder writes, one entry at a time: zero, NaN and the
+        infinities; |x| outside [1e-6, 1e13), subnormals included; powers
+        of two, whose ulp below is half the one above; a rounding within
+        1e-9 P of half an ulp, or of a tie between two roundings that both
+        read back; x whose exponent ``log10`` misjudges, within an ulp or
+        so of a power of ten; x of 12 digits or fewer; and any entry that
+        is not a float, such as an int modulus, which prints as an int.  A
+        modulus that is a list or a dict sends the whole report to json."""
         head = json.dumps(self._summary(), indent=2, sort_keys=True)[:-2]
         if not self.violations:
             return head + ',\n  "violations": []\n}'
-        zs, ms = zip(*self.violations)
-        # the template a %s b %s c %s d takes an entry's modulus, im and re;
-        # d ",\n" a joins one entry to the next
-        a, b, c, d = _VIOLATION.split("%s")
-        k = len(ms)
-        parts = [f"{d},\n{a}"] * (6 * k)
-        parts[0::6], parts[2::6], parts[4::6] = (
-            json.dumps(col)[1:-1].split(", ") for col in (
-                ms, [float(z.imag) for z in zs], [float(z.real) for z in zs]))
-        parts[1::6], parts[3::6] = [b] * k, [c] * k
-        parts[-1] = d
-        return f'{head},\n  "violations": [\n{a}{"".join(parts)}\n  ]\n}}'
+        k = len(self.violations)
+        zs = list(map(itemgetter(0), self.violations))
+        ms = list(map(itemgetter(1), self.violations))
+        if set(map(type, zs)) <= {complex}:
+            z = np.fromiter(zs, complex, k)
+        else:  # as _cx reads them
+            z = np.array([complex(float(v.real), float(v.imag)) for v in zs])
+        if set(map(type, ms)) <= {float}:
+            m = np.fromiter(ms, float, k)
+        elif not all(v is None or isinstance(v, (int, float, str)) for v in ms):
+            # a list or dict nests and indents: only json lays it out
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        else:  # json writes the entries that are not floats
+            m = np.array([v if type(v) is float else math.nan for v in ms])
+        # an entry is ",\n" a %s b %s c %s d, its modulus, im and re in the
+        # slots; each piece is NUL-padded to whole 32-bit words
+        pieces = _VIOLATION.split("%s")
+        pieces[0] = ",\n" + pieces[0]
+        parts = []
+        for piece, x, col in zip(pieces, (m, z.imag, z.real), (ms, z.imag, z.real)):
+            parts += [_padded(piece, k), json_floats(x, col)]
+        parts.append(_padded(pieces[-1], k))
+        head = _padded(head + ',\n  "violations": [', 1).tobytes()
+        tail = b"\n  ]\n}"
+        width = sum(p.shape[1] for p in parts)
+        text = bytearray(len(head) + 4 * k * width + len(tail))
+        text[:len(head)], text[-len(tail):] = head, tail
+        body = np.frombuffer(text, "<u4", k * width, len(head)).reshape(k, width)
+        np.concatenate(parts, axis=1, out=body)
+        body[0, 0] ^= ord(",")  # the first entry follows "[" directly
+        return text.translate(None, b"\0").decode("ascii")
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnivalencyReport":
@@ -411,8 +464,9 @@ def _circle_max(spec, r):
     With L1 = omega'/omega and L2 = (log omega)'' (``_log_jets``), phi' =
     Re(i z L1) and phi'' = Re(-z L1 - z^2 L2); a step is taken only where
     phi'' < 0 and is clipped to one ring step.  The result is the largest
-    |omega| of the ring and of four ``_log_jets`` calls, at the peaks and
-    after each step, so it is a value at a point of the circle.  A ring
+    |omega| of the ring, of three ``_log_jets`` calls, at the peaks and
+    after the first two steps, and of omega alone (``_derivatives``) after
+    the third, so it is a value at a point of the circle.  A ring
     that already reaches 1 is returned unrefined: a sample is a lower bound
     of the maximum, so the circle fails the search's test either way.  So
     is a ring of radius below 0.01, where the derivatives' /z forms
@@ -425,15 +479,15 @@ def _circle_max(spec, r):
     if top >= 1 or r < 0.01:
         return float(top)
     t = step * np.flatnonzero((mod >= np.roll(mod, 1)) & (mod > np.roll(mod, -1)))
-    for k in range(4):
+    for _ in range(3):
         z = r * np.exp(1j * t)
         w, L1, L2 = _log_jets(spec, z)
         top = np.max(np.abs(w), initial=top)
-        if k < 3:
-            d1, d2 = np.real(1j * z * L1), np.real(-z * L1 - z * z * L2)
-            t = t - np.clip(np.divide(d1, d2, out=np.zeros_like(d1),
-                                      where=d2 < 0), -step, step)
-    return float(top)
+        d1, d2 = np.real(1j * z * L1), np.real(-z * L1 - z * z * L2)
+        t = t - np.clip(np.divide(d1, d2, out=np.zeros_like(d1),
+                                  where=d2 < 0), -step, step)
+    w = _ratio(*_derivatives(spec.a, term_table(spec.right), r * np.exp(1j * t)))
+    return float(np.max(np.abs(w), initial=top))
 
 
 def _log_or_nan(m):

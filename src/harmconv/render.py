@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._core import MAX_RADIUS, instance, positive_int, real
+from ._text import WORDS
 from .convolution import ConvolutionSpec, conv_value
 from .errors import ParameterError
 from .mappings import term_table
@@ -76,16 +77,6 @@ _TEXT_BLOCK = 2 ** 12
 # y = |v| 10^6 below this rounds to an integer of at most 15 digits, nine
 # before the point, which float64 and int64 hold exactly
 _TEXT_LIMIT = 1e15 - 0.5
-# the three digits of k = 0..999 in bytes 1-3 of a little-endian 32-bit word,
-# byte 0 left free for a sign or a point.  Rows 1000 + k are for a group with
-# no digit shown before it: k's leading zeros are NUL bytes, and 0 is all NUL;
-# rows 2000 + k are for such a group just before the point, where 0 is "0"
-_k = np.arange(1000)[:, None]
-_shown = _k >= [100, 10, 1]
-_WORDS = (((ord("0") + _k // [100, 10, 1] % 10)
-           * np.stack((np.ones_like(_shown), _shown, _shown | [0, 0, 1])))
-          << [8, 16, 24]).sum(-1).astype("<u4").ravel()
-del _k, _shown
 # "," after x and " " after y, in byte 3 of the last word of each number
 _SEPARATORS = np.array([ord(","), ord(" ")], "<u4") << 24
 _point = f"{_FMT},{_FMT}".__mod__
@@ -119,15 +110,15 @@ def _points(curves):
     # per vertex: x's words, then y's: integer groups, ".ddd", "ddd" + separator
     words = np.empty((len(c), 2, groups + 2), "<u4")
     hi, lo = np.divmod(frac, 1000)
-    words[..., -2] = np.take(_WORDS, hi) | ord(".")
-    words[..., -1] = (np.take(_WORDS, lo) >> 8) | _SEPARATORS
+    words[..., -2] = np.take(WORDS, hi) | ord(".")
+    words[..., -1] = (np.take(WORDS, lo) >> 8) | _SEPARATORS
     ends = np.cumsum([len(z) for z in curves]) - 1
     words[ends, 1, -1] ^= (ord(" ") ^ ord("\n")) << 24  # "\n" ends a curve
     for j in range(groups - 1, 0, -1):  # all but the leading group
         whole, r = np.divmod(whole, 1000)
         words[..., j] = np.take(
-            _WORDS, r + (whole == 0) * (2000 if j == groups - 1 else 1000))
-    words[..., 0] = (np.take(_WORDS, whole + (2000 if groups == 1 else 1000))
+            WORDS, r + (whole == 0) * (2000 if j == groups - 1 else 1000))
+    words[..., 0] = (np.take(WORDS, whole + (2000 if groups == 1 else 1000))
                      | np.signbit(v) * np.uint32(ord("-")))
     text = words.tobytes().translate(None, b"\0").decode("ascii")
     return text.split("\n")[:-1]

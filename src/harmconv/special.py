@@ -56,7 +56,7 @@ def li2(z):
     stay below 1e-15 everywhere on the closed disk, subnormal z included.
     """
     arr, scalar = prepare(z)
-    w = np.atleast_1d(arr).astype(complex).copy()
+    w = np.atleast_1d(arr).astype(complex)  # a copy: w is scaled in place
     r = np.abs(w)
     if not np.all(r <= 1 + 1e-12):  # NaN fails too
         raise DomainError("li2 is only evaluated on the closed unit disk")
@@ -72,9 +72,10 @@ def li2(z):
     # log|1-x| and arg(1-x) without cancellation as x -> 0
     u = -(0.5 * np.log1p(a * (a - 2) + b * b) + 1j * np.arctan2(-b, 1 - a))
     s = u * u
-    acc = np.zeros_like(s)
-    for c in _B_EVEN[::-1]:  # B_odd = 0 past B_1 = -1/2
-        acc = acc * s + c
+    acc = np.full_like(s, _B_EVEN[-1])
+    for c in _B_EVEN[-2::-1]:  # B_odd = 0 past B_1 = -1/2
+        acc *= s
+        acc += c
     out = u + s * (u * acc - 0.25)
 
     # reflection Li2(z) = pi^2/6 - log z log(1-z) - Li2(1-z), with log z = -u

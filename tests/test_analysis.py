@@ -329,8 +329,8 @@ class TestScan:
         assert seen == [((1, K), 4)] * 3 and M.shape == (3, K)
 
     def test_json_matches_the_indenting_encoder(self):
-        # to_json writes the violations from a template: byte for byte what
-        # json.dumps(indent=2) writes, NaN and Infinity included
+        # to_json writes the violations from a template and numpy: byte for
+        # byte what json.dumps(indent=2) writes, NaN and Infinity included
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
         grid = GridSpec((0.5, 0.9), 4)
         reports = [
@@ -345,6 +345,17 @@ class TestScan:
             UnivalencyReport(2, 0.5 + 0j, [(0.25 - 0.25j, 2)], grid, []),
             UnivalencyReport(2, None, [(0j, math.nan), (-0.5j, math.inf)],
                              grid, []),
+            # every layout of _text.json_floats, 10^-6 to 10^12 and both
+            # signs, and values it leaves to json: a tie, a power of two,
+            # 12 digits, out of range, next to a round-trip boundary
+            UnivalencyReport(2, None, [
+                (complex(s * 1.2345678901234567 * 10.0 ** e,
+                         -s * 7.0000000000003 * 10.0 ** e),
+                 s * 9.876543210987654 * 10.0 ** e)
+                for e in range(-6, 13) for s in (1, -1)] + [
+                (complex(1 + 2 ** -17, 2.0 ** 40), 123456789012.0),
+                (complex(0.10001178122473629, 1e-7), 1.000026970635154)],
+                grid, []),
         ]
         for rep in reports:
             assert rep.to_json() == json.dumps(rep.to_dict(), indent=2,
