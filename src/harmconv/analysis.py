@@ -9,7 +9,8 @@ circle maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no
 zeros (maximum modulus principle), out to |z| = 1 - 1e-6.  Each circle
 maximum is the top of a ring of at least 1440 nodes and at least eight a
 period of z^n, refined at the ring's peaks by Newton steps in angle on
-log(Gp/Hp).  Scan rows and radius rings are built and evaluated
+log(Gp/Hp); the search refines only the circles whose ring reaches 0.9
+and the one it returns.  Scan rows and radius rings are built and evaluated
 by ``convolution._ring_moduli``, and the Newton jets come from
 ``convolution`` too, by spec; only J reads a term table.
 """
@@ -455,26 +456,32 @@ def J_boundary(theta, t) -> JBoundaryResult:
 OUTER_RADIUS = 1 - 1e-6
 
 
-def _circle_max(spec, r):
-    """max |Gp/Hp| on |z| = r, inf at a critical node: the top of a ring of
-    K = n ceil(max(1440, 8n)/n) nodes (n = 1 for F0 and F1), eight or more
-    a period 2 pi/n of z^n and a multiple of n, so that Fn's orbit is one
-    rotation class (``_ring_moduli``), raised by three Newton steps on
-    phi(t) = log |omega(r e^{it})| from each of the ring's local maxima.
-    With L1 = omega'/omega and L2 = (log omega)'' (``_log_jets``), phi' =
-    Re(i z L1) and phi'' = Re(-z L1 - z^2 L2); a step is taken only where
-    phi'' < 0 and is clipped to one ring step.  The result is the largest
-    |omega| of the ring, of three ``_log_jets`` calls, at the peaks and
-    after the first two steps, and of omega alone (``_derivatives``) after
-    the third, so it is a value at a point of the circle.  A ring
-    that already reaches 1 is returned unrefined: a sample is a lower bound
-    of the maximum, so the circle fails the search's test either way.  So
-    is a ring of radius below 0.01, where the derivatives' /z forms
-    cancel."""
+# a circle whose ring tops out below this passes the radius search's test
+# unrefined, its top only choosing the next probe, unless the search
+# returns it
+_STEER = 0.9
+
+
+def _ring(spec, r):
+    # |Gp/Hp| on the ring of |z| = r: K = n ceil(max(1440, 8n)/n) nodes
     n = spec.right.n or 1
-    K = n * -(-max(1440, 8 * n) // n)
-    step = 2 * math.pi / K
-    mod = _ring_moduli(spec, (r,), K)[1][0]
+    return _ring_moduli(spec, (r,), n * -(-max(1440, 8 * n) // n))[1][0]
+
+
+def _refine(spec, r, mod):
+    """The top of the moduli ``mod`` of the ring of |z| = r (``_ring``),
+    raised by three Newton steps on phi(t) = log |omega(r e^{it})| from
+    each of the ring's local maxima.  With L1 = omega'/omega and L2 =
+    (log omega)'' (``_log_jets``), phi' = Re(i z L1) and phi'' = Re(-z L1 -
+    z^2 L2); a step is taken only where phi'' < 0 and is clipped to one
+    ring step.  The result is the largest |omega| of the ring, of three
+    ``_log_jets`` calls, at the peaks and after the first two steps, and of
+    omega alone (``_derivatives``) after the third, so it is a value at a
+    point of the circle.  A ring that already reaches 1 is returned
+    unrefined: a sample is a lower bound of the maximum, so the circle
+    fails the search's test either way.  So is a ring of radius below
+    0.01, where the derivatives' /z forms cancel."""
+    step = 2 * math.pi / len(mod)
     top = np.max(mod)
     if top >= 1 or r < 0.01:
         return float(top)
@@ -488,6 +495,15 @@ def _circle_max(spec, r):
                                   where=d2 < 0), -step, step)
     w = _ratio(*_derivatives(spec.a, term_table(spec.right), r * np.exp(1j * t)))
     return float(np.max(np.abs(w), initial=top))
+
+
+def _circle_max(spec, r):
+    """max |Gp/Hp| on |z| = r, inf at a critical node: the top of a ring of
+    K = n ceil(max(1440, 8n)/n) nodes (n = 1 for F0 and F1), eight or more
+    a period 2 pi/n of z^n and a multiple of n, so that Fn's orbit is one
+    rotation class (``_ring_moduli``), refined by Newton steps from its
+    peaks (``_refine``)."""
+    return _refine(spec, r, _ring(spec, r))
 
 
 def _log_or_nan(m):
@@ -511,11 +527,18 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     log M(r), each probe at least tol/2 inside the bracket.  M is a ring's
     top, 1440 nodes or more as n needs, raised by Newton steps from its
     peaks (``_circle_max``), always a value at a point of the circle; a
-    ring that already reaches 1 gives its sample for M.  It bisects instead
-    while log M is not finite at an end (M(0) is never computed) and
-    whenever the bracket has fallen behind one halving per two probes, so
-    it needs at most about twice the circles of a plain bisection: 43
-    against 21 at tol = 1e-6.
+    ring that already reaches 1 gives its sample for M.  A circle whose
+    ring tops out below _STEER = 0.9 becomes lo unrefined: its top, a lower
+    bound of M, only chooses the next probe.  Once the bracket is closed,
+    the unrefined circles lo has taken are refined from the top down to
+    one that passes, which is the returned circle alone unless its
+    refinement fails; each that fails becomes hi, and the search goes on
+    below it, refining every circle.  So hi always fails the refined test,
+    and the returned r passes it.  The search bisects instead while log M
+    is not finite at an end (M(0) is never computed) and whenever the
+    bracket has fallen behind one halving per two probes, so, unless a
+    refinement reopens the bracket, it needs at most about twice the
+    circles of a plain bisection: 43 against 21 at tol = 1e-6.
     """
     instance(spec, ConvolutionSpec, "spec")
     tol = real(tol, "tol")
@@ -526,27 +549,48 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
         return 1.0
     lo, hi = 0.0, OUTER_RADIUS
     y_lo, y_hi = math.nan, _log_or_nan(m)
+    # every circle lo has taken, (r, log M, its ring while unrefined)
+    los = [(lo, y_lo, None)]
+    steer = _STEER
     moved = 0  # the end the last step replaced: -1 lo, +1 hi
     steps = 0
-    while hi - lo > tol:
-        # regula falsi while both ends have a finite log M and the bracket
-        # has kept pace with one halving per two steps (one step of grace)
-        if (math.isfinite(y_lo + y_hi)
-                and hi - lo <= OUTER_RADIUS * 2 ** ((1 - steps) / 2)):
-            r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
-            r = min(max(r, lo + tol / 2), hi - tol / 2)
-        else:
-            r = (lo + hi) / 2
-        steps += 1
-        m = _circle_max(spec, r)
-        # Illinois: an end kept for the second step running has its log M
-        # halved, so that the next probe moves toward it
-        if m < 1:
-            if moved < 0:
-                y_hi /= 2
-            lo, y_lo, moved = r, _log_or_nan(m), -1
-        else:
-            if moved > 0:
-                y_lo /= 2
-            hi, y_hi, moved = r, _log_or_nan(m), 1
-    return lo
+    while True:
+        while hi - lo > tol:
+            # regula falsi while both ends have a finite log M and the
+            # bracket has kept pace with one halving per two steps (one
+            # step of grace)
+            if (math.isfinite(y_lo + y_hi)
+                    and hi - lo <= OUTER_RADIUS * 2 ** ((1 - steps) / 2)):
+                r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
+                r = min(max(r, lo + tol / 2), hi - tol / 2)
+            else:
+                r = (lo + hi) / 2
+            steps += 1
+            mod = _ring(spec, r)
+            m = np.max(mod)
+            if not m < steer:
+                m, mod = _refine(spec, r, mod), None
+            # Illinois: an end kept for the second step running has its
+            # log M halved, so that the next probe moves toward it
+            if m < 1:
+                if moved < 0:
+                    y_hi /= 2
+                lo, y_lo, moved = r, _log_or_nan(m), -1
+                los.append((lo, y_lo, mod))
+            else:
+                if moved > 0:
+                    y_lo /= 2
+                hi, y_hi, moved = r, _log_or_nan(m), 1
+        # refine the unrefined circles lo has taken, from the top down to
+        # one that passes; each that fails becomes hi, and from then on
+        # every circle is refined
+        while los[-1][2] is not None:
+            r, _, mod = los.pop()
+            m = _refine(spec, r, mod)
+            if m < 1:
+                los.append((r, _log_or_nan(m), None))
+            else:
+                hi, y_hi, moved, steer = r, _log_or_nan(m), 1, -math.inf
+        lo, y_lo, _ = los[-1]
+        if hi - lo <= tol:
+            return lo

@@ -807,6 +807,18 @@ class TestRadius:
         r = univalency_radius(spec, 1e-6)
         assert abs(analysis._circle_max(spec, r) - self.dense_max(spec, r)) <= 1e-12
 
+    @pytest.mark.parametrize("a,n,theta", [
+        (0.5, 2, math.pi), (-0.2, 15, math.pi), (0.7, 10, -math.pi / 2),
+        (0.0, 40, math.pi)], ids=["n2-pi", "n15-pi", "n10-minus-half-pi",
+                                   "n40-pi"])
+    def test_returned_circle_passes_circle_max(self, a, n, theta):
+        # the benchmark's Fn radii: the search takes circles whose ring
+        # tops out below 0.9 unrefined, but the circle it returns passes the
+        # refined test, and the one tol outside it fails
+        spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+        r = univalency_radius(spec, 1e-6)
+        assert analysis._circle_max(spec, r) < 1 <= analysis._circle_max(spec, r + 1e-6)
+
     def test_ring_scales_with_n(self):
         # a 1,440-node ring has 1.4 nodes a period 2 pi/n of z^n at n = 1024
         # and gave r = 0.9996611680, where this check reads 1.000009; the
