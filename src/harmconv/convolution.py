@@ -107,6 +107,8 @@ def _ratio(Hp, Gp):
     """Gp/Hp, inf where |Hp| <= CRITICAL_TOL: there Hp counts as zero, a
     critical point, where the dilatation is undefined."""
     crit = np.abs(Hp) <= CRITICAL_TOL
+    if not crit.any():
+        return Gp / Hp
     return np.divide(Gp, Hp, out=np.full_like(Hp, np.inf), where=~crit)
 
 

@@ -93,6 +93,8 @@ class TermTable(NamedTuple):
     n: int
     b: float
     sing: np.ndarray  # singular points, 1 and 1/root for each root but 1
+    spec: MappingSpec  # the mapping, the key of its rings' orbit data
+    orbit: Optional[tuple]  # Fn's (circulants, roots) at any points (``_orbit``)
 
     def parts(self, z):
         """(h, g) at z."""
@@ -154,7 +156,12 @@ class TermTable(NamedTuple):
         h = g for odd g (where the turns are 2t mod g).  The pair stays on
         every node: its 2k/m amplifies a one-ulp mismatch between z_(k +
         K/2) and -z_k.  The classes go through one ``_atanh_rest`` as
-        classes x points, in blocks of at most _ORBIT_BLOCK elements."""
+        classes x points, in blocks of at most _ORBIT_BLOCK elements.
+
+        None of the orbit's data depends on z (``_orbit``): the table holds
+        it for any points, and ``_ring_orbit`` builds it for rings once per
+        table, g and ring parity, in a bounded cache, so a call pays only for
+        its points."""
         z2 = z * z
         q = 1 / (1 - z2)
         m = 1 - (1 - self.d) * z2
@@ -162,31 +169,20 @@ class TermTable(NamedTuple):
         e = self.d * _atanh_rest(-self.d * z / m) / (m * m) if self.d else 0
         logs = 2 * self.k / m * (e - q)
         if self.n > 1:  # the lone logs, at r = 1 and on the orbit
-            # the orbit's weights and roots, j = 0..n-1 as [t, c]
-            half, g = g is not None and np.shape(z)[-1] % 2 == 0, g or 1
-            w = np.append(0 if self.d else 2 * self.c[0],
-                          2 * self.c[1:] * self.r[1:] ** 3).reshape(g, -1)
-            roots = np.append(1 - self.d, self.r[1:])
-            y, lone = z, logs
-            if half:  # the first K/2 nodes as h rows; term t turns shift[t] rows
-                K, h = np.shape(z)[-1], g // 2 if g % 2 == 0 else g
-                shift = np.arange(g) * (K // g) % (K // 2) // (K // (2 * h))
-                folded = np.zeros((h, w.shape[1]), complex)
-                np.add.at(folded, shift, w)  # terms sharing a turn add weights
-                w, g = folded, h
-                y, lone = z[..., :K // 2], 0
+            half = g is not None and np.shape(z)[-1] % 2 == 0
+            circulants, roots = (self.orbit if g is None
+                                 else _ring_orbit(self.spec, g, half))
+            h = circulants.shape[-1]  # the rows of a ring, or of a half ring
+            y, lone = (z[..., :np.shape(z)[-1] // 2], 0) if half else (z, logs)
             if self.d:  # else 1 - d = 1: the r = 1 log is the orbit's j = 0
                 lone = lone - 2 * self.c[0] * _atanh_rest(y)
-            turn = np.subtract.outer(np.arange(g), np.arange(g)) % g
-            # [c, ..., p, s] = w[(p - s) mod g, c], size 1 on z's leading axes
-            circulants = w.T[:, turn].reshape(-1, *[1] * (np.ndim(z) - 1), g, g)
-            classes = np.flatnonzero(w.any(axis=0))
+            # [c, ..., p, s], size 1 on z's leading axes
+            circulants = circulants.reshape(-1, *[1] * (np.ndim(z) - 1), h, h)
             size = max(1, _ORBIT_BLOCK // max(1, np.size(y)))
-            for i in range(0, len(classes), size):
-                c = classes[i:i + size]
-                rest = _atanh_rest(np.multiply.outer(roots[c], y))
-                rows = rest.reshape(len(c), *np.shape(y)[:-1], g, -1)
-                lone = lone - (circulants[c] @ rows).sum(0).reshape(np.shape(y))
+            for i in range(0, len(roots), size):
+                rest = _atanh_rest(np.multiply.outer(roots[i:i + size], y))
+                rows = rest.reshape(len(rest), *np.shape(y)[:-1], h, -1)
+                lone = lone - (circulants[i:i + size] @ rows).sum(0).reshape(np.shape(y))
             logs = (logs.reshape(*np.shape(y)[:-1], 2, -1) + lone[..., None, :]
                     ).reshape(np.shape(z)) if half else lone
         return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
@@ -222,6 +218,44 @@ class TermTable(NamedTuple):
         if near.any():
             pair[near] = -2 * self.k * _chi_series(d, w[near], v[near], L[near] / 2)
         return ih + pair, self.s * L - ih - pair
+
+
+def _orbit(c, r, d, g=1, half=False):
+    """(circulants, roots): Fn's lone-log orbit, from a table's lone-log
+    coefficients c and roots r and its pair's d, as ``TermTable.odd_rests``
+    sums it on rings of g rows, or on half rings of h rows if half, and,
+    with g = 1 and not half, at any points.  The orbit j = k + t n/g, of
+    class k < n/g, as [t, k] has the roots 1 - d and r_j, j >= 1, and the
+    weights 2 c_j r_j^3, with j = 0's 0 for d != 0 (odd_rests sums the r =
+    1 log apart) and 2 c_0 at d = 0.  On a half ring, h = g/2 for even g,
+    where terms t and t + g/2 share the turn t mod g/2 and add their
+    weights, and h = g for odd g, where term t turns 2t mod g rows.  Only
+    the classes with a weight are kept: the h x h circulant [k, p, s] =
+    w[(p - s) mod h, k] of each, and its root, both read-only.  None of it
+    depends on the points, or on the ring's size K but through g and half."""
+    w = np.append(0 if d else 2 * c[0], 2 * c[1:] * r[1:] ** 3).reshape(g, -1)
+    roots = np.append(1 - d, r[1:])
+    if half:
+        h = g // 2 if g % 2 == 0 else g
+        shift = np.arange(g) % h if g % 2 == 0 else 2 * np.arange(g) % g
+        folded = np.zeros((h, w.shape[1]), complex)
+        np.add.at(folded, shift, w)  # terms sharing a turn add weights
+        w, g = folded, h
+    turn = np.subtract.outer(np.arange(g), np.arange(g)) % g
+    classes = np.flatnonzero(w.any(axis=0))
+    circulants, roots = w.T[classes][:, turn], roots[classes]
+    circulants.flags.writeable = roots.flags.writeable = False
+    return circulants, roots
+
+
+@lru_cache(maxsize=8)
+def _ring_orbit(spec, g, half):
+    """``_orbit`` of ``term_table(spec)`` on rings, built once per (spec, g,
+    half) and kept for the 8 most recent: it holds (n/g) h^2 complex
+    weights, 4 MiB at n = 1024 (g = n, h = 512), and a radius search or a
+    scan asks for one."""
+    t = term_table(spec)
+    return _orbit(t.c, t.r, t.d, g, half)
 
 
 def _atanh_rest(y):
@@ -287,8 +321,9 @@ def term_table(spec: MappingSpec) -> TermTable:
     keep = c != 0  # at n = 1 the lone log at r = 1 has coefficient 0
     roots = np.append(r[keep], 1 - d)
     sing = np.concatenate(([1 + 0j], 1 / roots[roots != 1]))
+    orbit = _orbit(c[keep], r[keep], complex(d)) if n > 1 else None
     return TermTable(complex(alpha), complex(k), complex(d), c[keep], r[keep],
-                     s, complex(u), n, b, sing)
+                     s, complex(u), n, b, sing, spec, orbit)
 
 
 def singular_points(spec: MappingSpec) -> np.ndarray:

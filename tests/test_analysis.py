@@ -725,6 +725,86 @@ class TestRingRoute:
         assert np.max(np.abs(Gp / Hp - want_g / want_h)) < 1e-10
 
 
+class TestOrbitCache:
+    # odd_rests takes Fn's orbit data from the term table at any points and
+    # from mappings._ring_orbit on rings, built once per (spec, g, half) and
+    # cached; built afresh on every call they give the same bits.  n = 12
+    # and 15 on K = 720, 100, 98, 97 and 45 take g = 1, a proper divisor of
+    # n, and g = n, on rings of even and odd K
+    KS = (720, 100, 98, 97, 45)
+    SPECS = {
+        "n12-theta0.7-a0.5": ConvolutionSpec(0.5, make_mapping("Fn", n=12, theta=0.7)),
+        "n12-theta2.1-a0.5": ConvolutionSpec(0.5, make_mapping("Fn", n=12, theta=2.1)),
+        "n12-theta0.7-a-0.3": ConvolutionSpec(-0.3, make_mapping("Fn", n=12, theta=0.7)),
+        "n15-pi-a0.5": ConvolutionSpec(0.5, make_mapping("Fn", n=15, theta=math.pi)),
+        "n15-theta-2-a0.5": ConvolutionSpec(0.5, make_mapping("Fn", n=15, theta=-2.0)),
+    }
+
+    @classmethod
+    def outputs(cls, spec):
+        """Stacks of rings, a (2, 2, K) stack of rotated rings, the jets
+        at 1 and 5 points and the dilatation at a point and at 50."""
+        t = term_table(spec.right)
+        out = []
+        for K in cls.KS:
+            out.append(convolution._ring_moduli(spec, (0.3, 0.9, 0.999), K)[1])
+            z = TestRingRoute.stack((0.5, 0.99, 0.9, 0.3), K, (0.3, -1.1, 2.0, 0.0))
+            out.append(_derivatives(spec.a, t, z.reshape(2, 2, K), math.gcd(t.n, K)))
+        z = 0.97 * np.exp(1j * np.linspace(0.1, 6, 50))
+        out += [convolution._log_jets(spec, z[:1]), convolution._log_jets(spec, z[::10]),
+                conv_dilatation(spec, 0.5 + 0.3j), conv_dilatation(spec, z)]
+        return out
+
+    def test_cached_orbit_gives_the_bits_of_a_fresh_one(self, monkeypatch):
+        def fresh_ring_orbit(spec, g, half):
+            t = mappings.term_table.__wrapped__(spec)
+            return mappings._orbit(t.c, t.r, t.d, g, half)
+
+        with monkeypatch.context() as m:
+            m.setattr(mappings, "_ring_orbit", fresh_ring_orbit)
+            fresh = {k: self.outputs(s) for k, s in self.SPECS.items()}
+        for k, spec in self.SPECS.items():
+            mappings.term_table.cache_clear()
+            mappings._ring_orbit.cache_clear()
+            cold = self.outputs(spec)  # the table and each plan built on first use
+            warm = self.outputs(spec)  # all from the caches
+            assert mappings._ring_orbit.cache_info().currsize == len(self.KS)
+            for want, c, w in zip(fresh[k], cold, warm):
+                assert np.array_equal(c, want) and np.array_equal(w, want), k
+        # the specs one after another, each reading the plans the one before
+        # left: those of another theta are their own, those of another a
+        # the same right factor's
+        for _ in range(2):
+            for k, spec in self.SPECS.items():
+                for want, got in zip(fresh[k], self.outputs(spec)):
+                    assert np.array_equal(got, want), k
+        one, other, same = (self.SPECS[k].right for k in (
+            "n12-theta0.7-a0.5", "n12-theta2.1-a0.5", "n12-theta0.7-a-0.3"))
+        plan = mappings._ring_orbit(one, 12, True)
+        assert plan is mappings._ring_orbit(same, 12, True)
+        assert not np.array_equal(plan[1], mappings._ring_orbit(other, 12, True)[1])
+
+    def test_orbit_data_is_read_only(self):
+        spec = self.SPECS["n12-theta0.7-a0.5"].right
+        plans = [mappings._ring_orbit(spec, g, half)
+                 for g, half in ((12, True), (4, True), (3, False))]
+        for data in [term_table(spec).orbit, *plans]:
+            for array in data:
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_radius_builds_each_plan_once(self):
+        # the search's rings (K = 1440, g = n) share one plan, and its
+        # Newton points read the table's
+        spec = ConvolutionSpec(0.0, make_mapping("Fn", n=40, theta=math.pi))
+        mappings.term_table.cache_clear()
+        mappings._ring_orbit.cache_clear()
+        univalency_radius(spec, 1e-6)
+        rings = mappings._ring_orbit.cache_info()
+        assert rings.misses == 1 and rings.hits >= 9
+        assert mappings.term_table.cache_info().misses == 1
+
+
 class TestRadius:
     def test_univalent_family_fills_disk(self):
         spec = ConvolutionSpec(0.5, make_mapping("F1", theta=math.pi / 6))

@@ -239,6 +239,25 @@ def test_atanh_rest_against_mpmath():
     assert np.all(err <= 8 * np.finfo(float).eps / np.abs(y) ** 3)
 
 
+def test_atanh_rest_mixes_series_and_log_points_bit_for_bit():
+    # a call with points below |y| = 0.1 takes the series there and the log
+    # elsewhere; one without takes the log alone: each point of a mixed
+    # array has the bits it has alone, as a 1-element array and as a numpy
+    # scalar, complex or real
+    rng = np.random.default_rng(23)
+    y = 0.3 * np.sqrt(rng.uniform(size=600)) * np.exp(2j * math.pi * rng.uniform(size=600))
+    y = np.concatenate([y, [0.1, -0.1, 0.1j, np.nextafter(0.1, 0)]])
+    for mixed in (y, y.real):
+        small = np.abs(mixed) < 0.1
+        assert small.any() and not small.all()
+        got = _atanh_rest(mixed)
+        assert np.array_equal(got, [_atanh_rest(mixed[i:i + 1])[0]
+                                    for i in range(len(mixed))])
+        assert np.array_equal(got, [_atanh_rest(v) for v in mixed])
+        assert np.array_equal(got[~small], _atanh_rest(mixed[~small]))
+        assert np.array_equal(got[small], _atanh_rest(mixed[small]))
+
+
 @pytest.mark.parametrize("y", [np.float64(0.5), np.array([0.05, -0.3, 0.9])],
                          ids=["float64", "array"])
 def test_atanh_rest_of_real_input_is_real(y):

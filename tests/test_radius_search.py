@@ -44,8 +44,9 @@ def check_search(fake, r, events, top=None):
     # from the top down to one that passes, each that fails becomes hi, and
     # from then on every circle is refined.  The first circle is OUTER,
     # every later probe lies strictly inside the bracket the earlier ones
-    # left, and the bracket keeps a pass at lo (0 is never probed) and a
-    # failure at hi
+    # left, no two probes in a row are clipped to tol/2 from the same end
+    # (the second bisects), and the bracket keeps a pass at lo (0 is never
+    # probed) and a failure at hi
     top = top or fake
 
     def passes(rho):
@@ -54,10 +55,13 @@ def check_search(fake, r, events, top=None):
     probes = [p for kind, p in events if kind == "ring"]
     assert events[:2] == [("ring", OUTER), ("refine", OUTER)]
     assert probes[0] == OUTER and not passes(OUTER)
-    los, hi, steer, steered = [0.0], OUTER, STEER, set()
+    los, hi, steer, steered, clipped = [0.0], OUTER, STEER, set(), 0
     for kind, p in events[2:]:
         if kind == "ring":
             assert los[-1] < p < hi
+            clip = (p == hi - TOL / 2) - (p == los[-1] + TOL / 2)
+            assert not clip or clip != clipped, p
+            clipped = clip
             if top(p) < steer:
                 steered.add(p)
             if p in steered or passes(p):
@@ -147,6 +151,18 @@ def test_failing_returned_circle_reopens_the_bracket(monkeypatch, top):
     reopened = [p for kind, p in events
                 if kind == "refine" and top(p) < STEER and fake(p) >= 1]
     assert len(reopened) >= 1 and r < 0.7 <= min(reopened)
+
+
+def test_missed_band_does_not_creep(monkeypatch):
+    # the steered lo's log M reads far below its circle's: Illinois halves
+    # it a probe at a time, and while it is far off, regula falsi lands
+    # within tol/2 of hi probe after probe.  Clipped there seven times in a
+    # row, one tol/2 step each, the search took 28 rings; a second clipped
+    # probe in a row bisects instead
+    fake = power(0.7, 5)
+    r, events = search(monkeypatch, fake, missed_band)
+    check_search(fake, r, events, missed_band)
+    assert len([p for kind, p in events if kind == "ring"]) <= 16
 
 
 @settings(max_examples=200, deadline=None, database=None)
