@@ -4,16 +4,19 @@ Contains a Schur-Cohn zero counter for polynomials in the unit disk, grid
 scans of convolution dilatations with violation reporting, the auxiliary
 function J, whose boundary values come from one closed form in which no
 term cancels (the real part also from the piecewise argument analysis),
-and the univalency radius by a safeguarded regula falsi on the log of the
-circle maximum of |Gp/Hp|, which is nondecreasing in r while Hp has no
-zeros (maximum modulus principle), out to |z| = 1 - 1e-6.  Each circle
-maximum is the top of a ring of at least 1440 nodes and at least eight a
-period of z^n, refined at the ring's peaks by Newton steps in angle on
-log(Gp/Hp); the search refines only the circles whose ring reaches 0.9
-and the one it returns.  Scan rows and radius rings are built and evaluated
+and the univalency radius out to |z| = 1 - 1e-6: the largest circle on
+which |Gp/Hp| stays below 1, whose circle maximum is nondecreasing in r
+while Hp has no zeros (maximum modulus principle).  The search brackets
+it on ring tops, rings of at least 1440 nodes and eight a period of z^n,
+then solves for the point where the circle touches |Gp/Hp| = 1 by 2-D
+Newton on log |Gp/Hp| from every peak of the bracket's failing ring, and
+returns a radius 2^-36 below it whose circle passes (its ring's peaks
+raised by Newton in angle to the circle maximum) and tol outside which
+one point reaches 1.  Scan rows and radius rings are built and evaluated
 by ``convolution._ring_moduli``, and the Newton jets come from
 ``convolution`` too, by spec; only J reads a term table.
 """
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -455,11 +458,20 @@ def J_boundary(theta, t) -> JBoundaryResult:
 # from the unit circle's singular points, far outside the 1e-9 guard
 OUTER_RADIUS = 1 - 1e-6
 
+# the bracket aims each regula falsi probe at a ring top of 1.1, and hands
+# over to the tangency solve once its failing end's ring tops out at 1.25
+# or less
+_AIM, _NEAR = math.log(1.1), math.log(1.25)
 
-# a circle whose ring tops out below this passes the radius search's test
-# unrefined, its top only choosing the next probe, unless the search
-# returns it
-_STEER = 0.9
+# Newton steps of either solve, at most.  A tangency has converged once its
+# steps in r and t are at most _STEP_TOL, which leaves about _STEP_TOL^2
+# (1e-18) to go, and the returned radius lies _MARGIN below it, well above
+# that and the rounding of log |omega|.  A circle maximum's Newton ends with
+# a step that raises log |omega| by at most _RISE_TOL
+_STEPS = 10
+_STEP_TOL = 2.0 ** -30
+_MARGIN = 2.0 ** -36
+_RISE_TOL = 2.0 ** -26
 
 
 def _ring(spec, r):
@@ -468,33 +480,60 @@ def _ring(spec, r):
     return _ring_moduli(spec, (r,), n * -(-max(1440, 8 * n) // n))[1][0]
 
 
+def _peaks(mod):
+    # the angles of the local maxima of a ring's moduli (the ring closes),
+    # each at the vertex of the parabola through it and its two neighbours
+    wrapped = np.concatenate((mod[-1:], mod, mod[:1]))
+    k = np.flatnonzero((mod >= wrapped[:-2]) & (mod > wrapped[2:]))
+    left, mid, right = wrapped[k], mod[k], wrapped[k + 2]
+    shift = (left - right) / (2 * (left - 2 * mid + right))  # in [-1/2, 1/2]
+    return 2 * math.pi / len(mod) * (k + shift)
+
+
+def _phi_jets(spec, r, t):
+    """|omega| and the partial derivatives phi_t, phi_tt, phi_r and phi_rt of
+    phi = log |omega| at the points r e^{it}.  With L1 = omega'/omega and
+    L2 = (log omega)'' (``_log_jets``): phi_t = Re(i z L1), phi_tt =
+    Re(-z L1 - z^2 L2), phi_r = Re(z L1)/r and phi_rt = Re(i (z L1 + z^2
+    L2))/r."""
+    z = r * np.exp(1j * t)
+    w, L1, L2 = _log_jets(spec, z)
+    zL1, z2L2 = z * L1, z * z * L2
+    return (np.abs(w), np.real(1j * zL1), np.real(-zL1 - z2L2),
+            np.real(zL1) / r, np.real(1j * (zL1 + z2L2)) / r)
+
+
 def _refine(spec, r, mod):
     """The top of the moduli ``mod`` of the ring of |z| = r (``_ring``),
-    raised by three Newton steps on phi(t) = log |omega(r e^{it})| from
-    each of the ring's local maxima.  With L1 = omega'/omega and L2 =
-    (log omega)'' (``_log_jets``), phi' = Re(i z L1) and phi'' = Re(-z L1 -
-    z^2 L2); a step is taken only where phi'' < 0 and is clipped to one
-    ring step.  The result is the largest |omega| of the ring, of three
-    ``_log_jets`` calls, at the peaks and after the first two steps, and of
-    omega alone (``_derivatives``) after the third, so it is a value at a
-    point of the circle.  A ring that already reaches 1 is returned
-    unrefined: a sample is a lower bound of the maximum, so the circle
-    fails the search's test either way.  So is a ring of radius below
-    0.01, where the derivatives' /z forms cancel."""
+    raised by Newton steps on phi(t) = log |omega(r e^{it})| from each of
+    the ring's peaks (``_peaks``, ``_phi_jets``): a step is taken only where
+    phi_tt < 0 and is clipped to one ring step.  A peak's steps go on until
+    the next would raise phi by at most _RISE_TOL (at most _STEPS of them),
+    and that last step is taken and valued by omega alone, which leaves it
+    about _RISE_TOL^2 below its peak.  The result is the largest |omega| of
+    the ring and of the iterates, so it is a value at a point of the
+    circle.  A ring that already reaches 1 is returned unrefined: a sample
+    is a lower bound of the maximum, so the circle fails the search's test
+    either way.  So is a ring of radius below 0.01, where the derivatives'
+    /z forms cancel."""
     step = 2 * math.pi / len(mod)
     top = np.max(mod)
     if top >= 1 or r < 0.01:
         return float(top)
-    wrapped = np.concatenate((mod[-1:], mod, mod[:1]))  # the ring closes
-    t = step * np.flatnonzero((mod >= wrapped[:-2]) & (mod > wrapped[2:]))
-    for _ in range(3):
-        z = r * np.exp(1j * t)
-        w, L1, L2 = _log_jets(spec, z)
-        top = np.max(np.abs(w), initial=top)
-        d1, d2 = np.real(1j * z * L1), np.real(-z * L1 - z * z * L2)
-        t = t - np.clip(np.divide(d1, d2, out=np.zeros_like(d1),
-                                  where=d2 < 0), -step, step)
-    w = _ratio(*_derivatives(spec.a, term_table(spec.right), r * np.exp(1j * t)))
+    t, settled = _peaks(mod), []
+    for _ in range(_STEPS):
+        w, ft, ftt = _phi_jets(spec, r, t)[:3]
+        top = np.max(w, initial=top)
+        dt = np.clip(np.divide(ft, ftt, out=np.zeros_like(ft), where=ftt < 0),
+                     -step, step)
+        rising = -ft * dt > 2 * _RISE_TOL  # the step's rise is about -ft dt/2
+        t = t - dt
+        settled.append(t[~rising])
+        t = t[rising]
+        if not len(t):
+            break
+    z = r * np.exp(1j * np.concatenate(settled + [t]))
+    w = _ratio(*_derivatives(spec.a, term_table(spec.right), z))
     return float(np.max(np.abs(w), initial=top))
 
 
@@ -502,9 +541,54 @@ def _circle_max(spec, r):
     """max |Gp/Hp| on |z| = r, inf at a critical node: the top of a ring of
     K = n ceil(max(1440, 8n)/n) nodes (n = 1 for F0 and F1), eight or more
     a period 2 pi/n of z^n and a multiple of n, so that Fn's orbit is one
-    rotation class (``_ring_moduli``), refined by Newton steps from its
-    peaks (``_refine``)."""
+    rotation class (``_ring_moduli``), refined by Newton from its peaks
+    (``_refine``)."""
     return _refine(spec, r, _ring(spec, r))
+
+
+def _tangency(spec, lo, hi, mod):
+    """(r*, t*): the least radius r* in (lo, hi) at which the circle |z| = r*
+    touches the level set |omega| = 1, at z = r* e^{it*}, or None.
+
+    It solves phi = 0 and phi_t = 0 for phi(r, t) = log |omega(r e^{it})|
+    by 2-D Newton (``_phi_jets``), from (hi, t) at every peak t of the
+    moduli ``mod`` of the ring of |z| = hi (``_peaks``) at once, one
+    ``_log_jets`` call a step.  Each iterate's r is clipped to [lo, hi],
+    and its step in t to an eighth of a period 2 pi/n of z^n.  A seed drops
+    out when its iterate is not finite or not at a peak of its circle
+    (phi_tt >= 0), when it is clipped a second time (its tangency lies
+    beyond the bracket), or after _STEPS steps.  It has
+    converged when its steps in r and t are at most _STEP_TOL, to a point
+    strictly inside (lo, hi) at a peak of the circle (phi_tt < 0) where phi
+    grows with r (phi_r > 0); Newton's quadratic convergence then leaves r
+    about _STEP_TOL^2 from the tangency.  r* is the least converged radius."""
+    step = math.pi / 4 / (spec.right.n or 1)
+    t = _peaks(mod)
+    r = np.full_like(t, hi)
+    held = np.zeros(len(t), bool)  # clipped once already
+    found = []
+    with np.errstate(all="ignore"):  # a seed gone astray is dropped below
+        for _ in range(_STEPS):
+            w, ft, ftt, fr, frt = _phi_jets(spec, r, t)
+            phi, det = np.log(w), fr * ftt - ft * frt
+            dr, dt = (ft * ft - phi * ftt) / det, (frt * phi - fr * ft) / det
+            t = t + np.clip(dt, -step, step)
+            new = np.clip(r + dr, lo, hi)
+            done = ((np.maximum(abs(dr), abs(dt)) <= _STEP_TOL) & (ftt < 0)
+                    & (fr > 0) & (lo < new) & (new < hi))
+            found += zip(new[done].tolist(), t[done].tolist())
+            clipped = new != r + dr
+            live = ~done & ~(clipped & held) & (ftt < 0) & np.isfinite(new + t)
+            r, t, held = new[live], t[live], (held | clipped)[live]
+            if not len(r):
+                break
+    return min(found, default=None)
+
+
+def _point(spec, z):
+    # |Gp/Hp| at the one point z, by the rings' evaluator
+    w = _ratio(*_derivatives(spec.a, term_table(spec.right), np.array([z])))
+    return float(np.abs(w[0]))
 
 
 def _log_or_nan(m):
@@ -522,86 +606,75 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
 
     If Hp has no zeros on |z| <= r (assumed, not checked), Gp/Hp is analytic
     there, so its maximum M(r) on |z| = r is nondecreasing by the maximum
-    modulus principle, and unbounded toward a zero of Hp.  The search keeps
-    a bracket [lo, hi] of [0, OUTER_RADIUS] with "no critical node and
-    M < 1" at lo and not at hi, and narrows it by Illinois regula falsi on
-    log M(r), each probe at least tol/2 inside the bracket.  M is a ring's
-    top, 1440 nodes or more as n needs, raised by Newton steps from its
-    peaks (``_circle_max``), always a value at a point of the circle; a
-    ring that already reaches 1 gives its sample for M.  A circle whose
-    ring tops out below _STEER = 0.9 becomes lo unrefined: its top, a lower
-    bound of M, only chooses the next probe.  Once the bracket is closed,
-    the unrefined circles lo has taken are refined from the top down to
-    one that passes, which is the returned circle alone unless its
-    refinement fails; each that fails becomes hi, and the search goes on
-    below it, refining every circle.  So hi always fails the refined test,
-    and the returned r passes it.  The search bisects instead while log M
-    is not finite at an end (M(0) is never computed), whenever the
-    bracket has fallen behind one halving per two probes, and when a
-    regula falsi probe is clipped to tol/2 from the end the probe before
-    was clipped to: an end whose log M reads far below its circle's (a
-    steered lo's ring top) otherwise moves the other end tol/2 a probe
-    while Illinois halves it.  So, unless a refinement reopens the
-    bracket, it needs at most about twice the circles of a plain
-    bisection: 43 against 21 at tol = 1e-6.
+    modulus principle, and unbounded toward a zero of Hp.  A circle passes
+    when M(r) < 1, M(r) its ring's top raised by Newton from the ring's
+    peaks (``_circle_max``), a value at a point of the circle.
+
+    The search keeps a bracket [lo, hi] of [0, OUTER_RADIUS]: hi fails,
+    and lo's ring tops out below 1 (0 is never probed).  It narrows the
+    bracket on ring tops alone, by regula falsi on the log of the top aimed
+    at a top of 1.1, with bisection where that log is not finite at an end
+    and after two probes in a row replaced the same end, until hi's ring
+    tops out at 1.25 or less.  Then it solves for the tangency (r*, t*),
+    where |z| = r* touches |Gp/Hp| = 1, from every peak of hi's ring
+    (``_tangency``), with r clipped above the largest radius whose circle
+    passed.  As |Gp/Hp| = 1 at r* e^{it*}, the radius is at most r*, and
+    it is r* at the winning peak.  The search returns r = r* - _MARGIN
+    (2^-36, or tol/4 if that is less) once it has checked it twice: r's
+    circle passes, and |Gp/Hp| >= 1 at the one point (r + tol) e^{it*}, so
+    the circle r + tol fails.  A returned circle that fails becomes hi, and
+    the search goes on below it.  If no seed converges, or the point check
+    fails, it bisects to tol on passing circles instead, and returns lo.
+    So r always passes and r + tol always fails.  The benchmark's four Fn
+    radii take 2-6 rings and 5-7 ``_log_jets`` calls.
     """
     instance(spec, ConvolutionSpec, "spec")
     tol = real(tol, "tol")
     if not 1e-6 <= tol < 1:
         raise ParameterError(f"tol must lie in [1e-6, 1), got {tol!r}")
-    m = _circle_max(spec, OUTER_RADIUS)
-    if m < 1:
+    mod = _ring(spec, OUTER_RADIUS)
+    if _refine(spec, OUTER_RADIUS, mod) < 1:
         return 1.0
-    lo, hi = 0.0, OUTER_RADIUS
-    y_lo, y_hi = math.nan, _log_or_nan(m)
-    # every circle lo has taken, (r, log M, its ring while unrefined)
-    los = [(lo, y_lo, None)]
-    steer = _STEER
-    moved = 0  # the end the last step replaced: -1 lo, +1 hi
-    clipped = 0  # the end the last probe was clipped to: -1 lo, +1 hi
-    steps = 0
+    # (r, log top, passed) for the radii under hi whose ring tops out below
+    # 1, lo last; passed once r's circle has passed
+    los = [(0.0, math.nan, True)]
+    hi, y_hi = OUTER_RADIUS, _log_or_nan(np.max(mod))
+    side = twice = bisect = None  # side: the last probe's ring passed
     while True:
-        while hi - lo > tol:
-            # regula falsi while both ends have a finite log M and the
-            # bracket has kept pace with one halving per two steps (one
-            # step of grace), unless its probe is clipped to tol/2 from the
-            # end the last probe was clipped to
-            r, clip = (lo + hi) / 2, 0
-            if (math.isfinite(y_lo + y_hi)
-                    and hi - lo <= OUTER_RADIUS * 2 ** ((1 - steps) / 2)):
-                falsi = hi - y_hi * (hi - lo) / (y_hi - y_lo)
-                clip = (falsi > hi - tol / 2) - (falsi < lo + tol / 2)
-                if clip and clip == clipped:
-                    clip = 0  # bisect
-                else:
-                    r = min(max(falsi, lo + tol / 2), hi - tol / 2)
-            clipped = clip
-            steps += 1
-            mod = _ring(spec, r)
-            m = np.max(mod)
-            if not m < steer:
-                m, mod = _refine(spec, r, mod), None
-            # Illinois: an end kept for the second step running has its
-            # log M halved, so that the next probe moves toward it
-            if m < 1:
-                if moved < 0:
-                    y_hi /= 2
-                lo, y_lo, moved = r, _log_or_nan(m), -1
-                los.append((lo, y_lo, mod))
-            else:
-                if moved > 0:
-                    y_lo /= 2
-                hi, y_hi, moved = r, _log_or_nan(m), 1
-        # refine the unrefined circles lo has taken, from the top down to
-        # one that passes; each that fails becomes hi, and from then on
-        # every circle is refined
-        while los[-1][2] is not None:
-            r, _, mod = los.pop()
-            m = _refine(spec, r, mod)
-            if m < 1:
-                los.append((r, _log_or_nan(m), None))
-            else:
-                hi, y_hi, moved, steer = r, _log_or_nan(m), 1, -math.inf
-        lo, y_lo, _ = los[-1]
+        lo, y_lo, passed = los[-1]
         if hi - lo <= tol:
-            return lo
+            if passed:
+                return lo
+            r = lo
+        elif not (bisect or y_hi <= _NEAR):  # narrow on ring tops
+            r = (lo + hi) / 2
+            if math.isfinite(y_lo + y_hi) and not twice:
+                falsi = hi - (y_hi - _AIM) * (hi - lo) / (y_hi - y_lo)
+                r = min(max(falsi, lo + tol / 2), hi - tol / 2)
+            ring = _ring(spec, r)
+            top = np.max(ring)
+            twice, side = side == (top < 1), top < 1
+            if top < 1:
+                los.append((r, _log_or_nan(top), False))
+            else:
+                hi, y_hi, mod = r, _log_or_nan(top), ring
+            continue
+        else:
+            sure = next(x for x, _, ok in reversed(los) if ok)
+            found = None if bisect else _tangency(spec, sure, hi, mod)
+            if found is not None:
+                r = found[0] - min(tol / 4, _MARGIN)
+                found = (r + tol >= hi or _point(
+                    spec, (r + tol) * cmath.exp(1j * found[1])) >= 1)
+            bisect = not found
+            if bisect:
+                r = (lo + hi) / 2
+        m = _circle_max(spec, r)
+        if not m < 1:
+            hi, bisect = r, True
+            if r <= lo:  # lo's ring passed a failing circle: trust no ring
+                los = [x for x in los if x[2] and x[0] < r]
+        elif bisect and r > lo:
+            los.append((r, _log_or_nan(m), True))
+        else:
+            return r

@@ -44,4 +44,5 @@ class BoundaryDegenerateError(HarmconvError):
 
 class QuadratureError(HarmconvError):
     """Adaptive integration failed to reach its tolerance.  Nothing raises
-    it now: every value has a closed form."""
+    it now, as every value has a closed form; it stays in ``__all__`` so
+    that code which imports or catches it keeps working."""

@@ -793,15 +793,23 @@ class TestOrbitCache:
                 with pytest.raises(ValueError):
                     array[0] = 0
 
-    def test_radius_builds_each_plan_once(self):
+    def test_radius_builds_each_plan_once(self, monkeypatch):
         # the search's rings (K = 1440, g = n) share one plan, and its
         # Newton points read the table's
         spec = ConvolutionSpec(0.0, make_mapping("Fn", n=40, theta=math.pi))
+        ring_moduli, count = analysis._ring_moduli, []
+
+        def counting(*args):
+            count.append(1)
+            return ring_moduli(*args)
+
+        monkeypatch.setattr(analysis, "_ring_moduli", counting)
         mappings.term_table.cache_clear()
         mappings._ring_orbit.cache_clear()
         univalency_radius(spec, 1e-6)
         rings = mappings._ring_orbit.cache_info()
-        assert rings.misses == 1 and rings.hits >= 9
+        assert len(count) >= 5
+        assert rings.misses == 1 and rings.hits == len(count) - 1
         assert mappings.term_table.cache_info().misses == 1
 
 
@@ -814,7 +822,7 @@ class TestRadius:
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
         r = univalency_radius(spec, 1e-6)
         assert r < 0.99
-        # regression: the bisection's value
+        # regression: the tangency lies at 0.9662076166
         assert r == pytest.approx(0.966208, abs=5e-5)
 
     @pytest.mark.parametrize("a,n,theta", [
@@ -915,6 +923,83 @@ class TestRadius:
             return np.max(np.abs(Gp / Hp))
 
         assert arc_max(r) < 1 <= arc_max(r + tol)
+
+    @staticmethod
+    def ring_and_arcs_max(spec, rho, peaks=8):
+        """max |Gp/Hp| on |z| = rho: a 2^19-node ``_ring_moduli`` ring, then
+        257 nodes by public conv_derivatives across the two ring steps about
+        each of its top local maxima."""
+        K = 2 ** 19
+        m = convolution._ring_moduli(spec, (rho,), K)[1][0]
+        wrapped = np.concatenate((m[-1:], m, m[:1]))
+        k = np.flatnonzero((m >= wrapped[:-2]) & (m > wrapped[2:]))
+        k = k[np.argsort(m[k])[-peaks:]]
+        t = 2 * math.pi / K * (k[:, None] + np.linspace(-1, 1, 257))
+        Hp, Gp = conv_derivatives(spec, rho * np.exp(1j * t.ravel()))
+        return max(np.max(m), np.max(np.abs(Gp / Hp)))
+
+    @pytest.mark.parametrize("a,n,theta", [
+        (-0.5, 512, 2.0), (0.0, 512, 2.0), (-0.5, 256, 2.0)],
+        ids=["n512-a-0.5", "n512-a0", "n256-a-0.5"])
+    def test_large_n_radius_against_dense_ring(self, a, n, theta):
+        # three clipped Newton steps a peak stopped short of these circles'
+        # peaks, and returned 0.9993273388, 0.9993240230 and 0.9986631273,
+        # on whose circles the oracle reads up to 1.0000787
+        spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+        tol = 1e-6
+        r = univalency_radius(spec, tol)
+        assert self.ring_and_arcs_max(spec, r) < 1
+        assert self.ring_and_arcs_max(spec, r + tol) >= 1
+
+    # the benchmark's Fn radius ops and the cases above, with the radius the
+    # search returned before it solved for the tangency
+    TANGENT_CASES = {
+        "n2-pi": (0.5, 2, math.pi, 0.9662072808752474),
+        "n15-pi": (-0.2, 15, math.pi, 0.9803354794814744),
+        "n10-minus-half-pi": (0.7, 10, -math.pi / 2, 0.9631947532835127),
+        "n40-pi": (0.0, 40, math.pi, 0.991475744432064),
+        "n2-half-pi": (-0.5, 2, math.pi / 2, 0.9234471894209754),
+    }
+
+    @pytest.mark.parametrize("case", list(TANGENT_CASES))
+    def test_tangency_against_mpmath(self, monkeypatch, case):
+        # at the tangency (r*, t*) the search returns r* - _MARGIN from,
+        # |omega| = 1 to 1e-12 and d/dt log |omega| = 0 to 1e-10, by mpmath
+        # quadrature of the odd quotients: Hp = (1-a)/4 int_{-1}^{1} h'(sz) ds
+        # + (1+a)/2 h'(z) and Gp the same with g' and the first term negated,
+        # h' = 1/((1 + u z^n)(1 - z)^2) and g' = u z^n h'.  The radius lies
+        # in [old, old + tol]
+        mp = pytest.importorskip("mpmath")
+        a, n, theta, old = self.TANGENT_CASES[case]
+        spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+        found, tangency = [], analysis._tangency
+
+        def recording(*args):
+            found.append(tangency(*args))
+            return found[-1]
+
+        monkeypatch.setattr(analysis, "_tangency", recording)
+        r = univalency_radius(spec, 1e-6)
+        rs, ts = found[-1]
+        assert r == rs - analysis._MARGIN and old <= r <= old + 1e-6
+        with mp.workdps(20):
+            u, aa = mp.expj(theta), mp.mpf(a)
+
+            def log_modulus(t):
+                z = rs * mp.expj(t)
+
+                def hp(w):
+                    return 1 / ((1 + u * w ** n) * (1 - w) ** 2)
+
+                Dh = mp.quad(lambda s: hp(s * z), [-1, 0, 1])
+                Dg = mp.quad(lambda s: u * (s * z) ** n * hp(s * z),
+                             [-1, 0, 1])
+                Hp = (1 - aa) / 4 * Dh + (1 + aa) / 2 * hp(z)
+                Gp = -(1 - aa) / 4 * Dg + (1 + aa) / 2 * u * z ** n * hp(z)
+                return mp.log(abs(Gp / Hp))
+
+            assert abs(mp.exp(log_modulus(mp.mpf(ts))) - 1) <= 1e-12
+            assert abs(mp.diff(log_modulus, mp.mpf(ts))) <= 1e-10
 
     @pytest.mark.parametrize("a,n,theta", [(-0.98, 3, 1.8), (-0.98, 5, -0.8)],
                              ids=["n3", "n5"])

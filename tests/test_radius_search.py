@@ -1,5 +1,5 @@
-"""The univalency radius search on synthetic circle maxima, and the number of
-circles it spends on real ones."""
+"""The univalency radius search on synthetic circle maxima, and the rings and
+Newton jets it spends on real ones."""
 import math
 
 import numpy as np
@@ -13,14 +13,46 @@ OUTER = analysis.OUTER_RADIUS
 # a plain bisection of [0, OUTER] to TOL takes 21 circles with the first one
 BISECTION_CIRCLES = 1 + math.ceil(math.log2(OUTER / TOL))
 SPEC = ConvolutionSpec(0.5, make_mapping("F0"))  # unused by the fakes
-STEER = analysis._STEER
 
 
-def search(monkeypatch, fake, top=None):
+def crossing(fake, lo, hi):
+    """The least radius in (lo, hi] whose circle fails, to the last float by
+    bisection, or None unless lo passes and hi fails."""
+    if not (fake(lo) < 1 and not fake(hi) < 1):
+        return None
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (mid, hi) if fake(mid) < 1 else (lo, mid)
+
+
+def off_by(shift):
+    # a tangency step that returns the true crossing shifted by shift tol,
+    # or halfway to the bracket's end where that lies closer
+    def wrong(fake, lo, hi):
+        c = crossing(fake, lo, hi)
+        if c is None:
+            return None
+        return min(c + shift * TOL, (c + hi) / 2) if shift > 0 else \
+            max(c + shift * TOL, (lo + c) / 2)
+    return wrong
+
+
+# fake tangency steps, given the fake circle maximum and the bracket: the
+# true crossing, one 30 tol too high or too low, or nothing
+TANGENCIES = {
+    "true": crossing, "high": off_by(30), "low": off_by(-30),
+    "none": lambda fake, lo, hi: None,
+}
+
+
+def search(monkeypatch, fake, tangency="true", top=None):
     """univalency_radius with top(r) as a circle's ring top (fake itself
-    unless given) and fake(r) as its refined maximum; the answer and the
-    events in order, ("ring", r) for each ring and ("refine", r) for each
-    refinement."""
+    unless given), fake(r) as its refined maximum and as |omega| at any
+    point of it, and the tangency step of TANGENCIES[tangency]; the answer
+    and the events in order: ("ring", r), ("refine", r), ("tangency", lo,
+    hi) and ("point", |z|)."""
     top = top or fake
     events = []
 
@@ -32,54 +64,76 @@ def search(monkeypatch, fake, top=None):
         events.append(("refine", r))
         return fake(r)
 
-    monkeypatch.setattr(analysis, "_ring", ring)
-    monkeypatch.setattr(analysis, "_refine", refine)
+    def tangent(spec, lo, hi, mod):
+        events.append(("tangency", lo, hi))
+        r = TANGENCIES[tangency](fake, lo, hi)
+        return None if r is None else (r, 0.0)
+
+    def point(spec, z):
+        events.append(("point", abs(z)))
+        return fake(abs(z))
+
+    for name, f in (("_ring", ring), ("_refine", refine),
+                    ("_tangency", tangent), ("_point", point)):
+        monkeypatch.setattr(analysis, name, f)
     return univalency_radius(SPEC, TOL), events
 
 
-def check_search(fake, r, events, top=None):
-    # a radius passes when fake < 1 there (so nan fails).  A ring whose top
-    # reads below STEER becomes lo unrefined, so lo passes or is such a
-    # steered circle; once the bracket closes, the steered los are refined
-    # from the top down to one that passes, each that fails becomes hi, and
-    # from then on every circle is refined.  The first circle is OUTER,
-    # every later probe lies strictly inside the bracket the earlier ones
-    # left, no two probes in a row are clipped to tol/2 from the same end
-    # (the second bisects), and the bracket keeps a pass at lo (0 is never
-    # probed) and a failure at hi
+def check_search(fake, r, events, top=None, rings=2 * BISECTION_CIRCLES):
+    # a radius passes when fake < 1 there (so nan fails).  The first circle
+    # is OUTER and fails.  The bracket keeps a failure at hi and, below it,
+    # the radii whose ring or circle passed, lo the last (0 is never
+    # probed).  A ring with no refinement after it is a probe on ring tops:
+    # it lies strictly inside the bracket, and after two such probes in a
+    # row replaced the same end, the next one bisects.  A refined circle
+    # that fails becomes hi and ends the probes on ring tops and the
+    # tangency steps; one at or below lo also drops every radius whose
+    # circle has not passed.  The tangency step gets the bracket's hi and
+    # the largest radius whose circle passed, with more than tol between hi
+    # and lo, and the point check lies tol outside the candidate it
+    # returned.  The answer passes, r + tol fails, it is 0 or was refined,
+    # and the search took at most the given number of rings
     top = top or fake
 
     def passes(rho):
         return fake(rho) < 1
 
-    probes = [p for kind, p in events if kind == "ring"]
     assert events[:2] == [("ring", OUTER), ("refine", OUTER)]
-    assert probes[0] == OUTER and not passes(OUTER)
-    los, hi, steer, steered, clipped = [0.0], OUTER, STEER, set(), 0
-    for kind, p in events[2:]:
-        if kind == "ring":
-            assert los[-1] < p < hi
-            clip = (p == hi - TOL / 2) - (p == los[-1] + TOL / 2)
-            assert not clip or clip != clipped, p
-            clipped = clip
-            if top(p) < steer:
-                steered.add(p)
-            if p in steered or passes(p):
-                los.append(p)
+    assert not passes(OUTER)
+    los, hi, sides = [(0.0, True)], OUTER, []
+    tangency = distrust = False
+    for i, (kind, p, *rest) in enumerate(events[2:], 2):
+        lo = los[-1][0]
+        if kind == "ring" and events[i + 1:i + 2] != [("refine", p)]:
+            assert lo < p < hi and not distrust
+            if sides[-2:] in ([True, True], [False, False]):
+                assert p == (lo + hi) / 2
+            sides.append(top(p) < 1)
+            if top(p) < 1:
+                los.append((p, False))
             else:
                 hi = p
-        elif p in steered:  # a steered lo, refined once the bracket closed
-            assert p == los[-1]
-            steered.remove(p)
+        elif kind == "refine":
+            # a bisection probe, the closing lo or the tangency's candidate
+            assert lo < p < hi or p == lo or tangency and p < hi
+            tangency = False
             if not passes(p):
-                hi, steer = los.pop(), -math.inf
-        lo = los[-1]
-        assert (lo == 0 or passes(lo) or lo in steered) and not passes(hi)
-    lo = los[-1]
-    assert r == lo and hi - lo <= TOL
+                hi, distrust = p, True
+                if p <= lo:
+                    los = [(x, ok) for x, ok in los if ok and x < p]
+            elif lo < p < hi:
+                los.append((p, True))
+        elif kind == "tangency":
+            assert not distrust
+            assert (p, *rest) == (max(x for x, ok in los if ok), hi)
+            assert hi - lo > TOL
+            tangency = True
+        elif kind == "point":
+            assert tangency and p < hi
+        assert not passes(hi)
     assert passes(r) and not passes(r + TOL)
     assert r == 0 or ("refine", r) in events
-    assert len(probes) <= 2 * BISECTION_CIRCLES
+    assert len([e for e in events if e[0] == "ring"]) <= rings
 
 
 def power(r0, k):
@@ -122,17 +176,41 @@ def missed_band(r):
     return 0.85 if 0.7 <= r < 0.7 + 10 * TOL else (r / 0.7) ** 5
 
 
-@pytest.mark.parametrize("fake", [
-    power(0.7, 5), power(0.95, 40), power(0.2, 1.5), power(0.998, 80),
-    kinked, kinked_below, zero_then_critical, critical_first,
-    step(0.4137, 0.5, 2.0), step(0.842839, 0.9, 1e6), step(0.01, 1e-3, 1.0),
-    step(0.99, 0.0, math.inf), step(0.6, 0.5, math.nan),
-], ids=["power-0.7-5", "power-0.95-40", "power-0.2-1.5", "power-0.998-80",
-        "kinked", "kinked-below", "zero-then-critical", "critical-first",
-        "step", "step-lopsided", "step-low", "step-zero-inf", "step-nan"])
-def test_search_on_synthetic_maxima(monkeypatch, fake):
-    r, events = search(monkeypatch, fake)
+FAKES = {
+    "power-0.7-5": power(0.7, 5), "power-0.95-40": power(0.95, 40),
+    "power-0.2-1.5": power(0.2, 1.5), "power-0.998-80": power(0.998, 80),
+    "kinked": kinked, "kinked-below": kinked_below,
+    "zero-then-critical": zero_then_critical, "critical-first": critical_first,
+    "step": step(0.4137, 0.5, 2.0), "step-lopsided": step(0.842839, 0.9, 1e6),
+    "step-low": step(0.01, 1e-3, 1.0),
+    "step-zero-inf": step(0.99, 0.0, math.inf),
+    "step-nan": step(0.6, 0.5, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", list(FAKES))
+def test_search_on_synthetic_maxima(monkeypatch, name):
+    # with each fake tangency step
+    for tangency in TANGENCIES:
+        with monkeypatch.context() as m:
+            r, events = search(m, FAKES[name], tangency)
+        check_search(FAKES[name], r, events)
+
+
+@pytest.mark.parametrize("name", ["power-0.7-5", "power-0.95-40", "kinked",
+                                  "kinked-below", "power-0.998-80"])
+def test_true_tangency_returns_its_crossing(monkeypatch, name):
+    # the returned radius lies _MARGIN below the crossing the tangency step
+    # found, and the search needs no refined circle but the first and that
+    # one, and few rings
+    fake = FAKES[name]
+    r, events = search(monkeypatch, fake, "true")
     check_search(fake, r, events)
+    found = crossing(fake, *[e for e in events if e[0] == "tangency"][-1][1:])
+    assert r == found - analysis._MARGIN
+    refined = [e for e in events if e[0] == "refine"]
+    assert refined == [("refine", OUTER), ("refine", r)]
+    assert len([e for e in events if e[0] == "ring"]) <= 12
 
 
 def test_clean_circle_is_the_only_probe(monkeypatch):
@@ -140,39 +218,99 @@ def test_clean_circle_is_the_only_probe(monkeypatch):
     assert r == 1.0 and events == [("ring", OUTER), ("refine", OUTER)]
 
 
+def wide_band(r):
+    # ring tops of power(0.7, 5) that read 0.9 from the crossing to 0.95
+    return 0.9 if 0.7 <= r < 0.95 else (r / 0.7) ** 5
+
+
 @pytest.mark.parametrize("top", [
-    missed_band, lambda r: 0.8 * (r / 0.7) ** 5], ids=["missed-band", "low-ring"])
+    missed_band, lambda r: 0.8 * (r / 0.7) ** 5, wide_band],
+    ids=["missed-band", "low-ring", "wide-band"])
 def test_failing_returned_circle_reopens_the_bracket(monkeypatch, top):
-    # the search closes on a steered circle whose refined maximum fails: it
-    # becomes hi, and the search goes on below it
+    # ring tops read low, so lo's ring can pass where its circle fails.  A
+    # candidate above the crossing fails its circle, which becomes hi, and
+    # the search goes on below it; so does a closing lo whose circle fails,
+    # and then the search bisects on refined circles from the largest one
+    # that passed (with ring tops kept, the wide band took 472,336 rings)
     fake = power(0.7, 5)
-    r, events = search(monkeypatch, fake, top)
-    check_search(fake, r, events, top)
-    reopened = [p for kind, p in events
-                if kind == "refine" and top(p) < STEER and fake(p) >= 1]
-    assert len(reopened) >= 1 and r < 0.7 <= min(reopened)
+    for tangency in TANGENCIES:
+        with monkeypatch.context() as m:
+            r, events = search(m, fake, tangency, top)
+        # the wide band's tops jump from 0.9 to 3.5 at 0.95, where the probes
+        # on ring tops close the bracket, as for a step: the circle there
+        # fails, and a bisection on refined circles follows
+        wide = top is wide_band
+        check_search(fake, r, events, top, (2 + wide) * BISECTION_CIRCLES)
+        failed = [p for kind, p, *_ in events[2:]
+                  if kind == "refine" and not fake(p) < 1]
+        if tangency in ("high", "none"):
+            assert failed and r < 0.7 <= min(failed)
 
 
 def test_missed_band_does_not_creep(monkeypatch):
-    # the steered lo's log M reads far below its circle's: Illinois halves
-    # it a probe at a time, and while it is far off, regula falsi lands
-    # within tol/2 of hi probe after probe.  Clipped there seven times in a
-    # row, one tol/2 step each, the search took 28 rings; a second clipped
-    # probe in a row bisects instead
+    # the ring tops read 0.85 on a band above the crossing, far below the
+    # circle's maximum.  The old search's regula falsi clipped its probes
+    # to tol/2 from hi seven times in a row there, and took 28 rings.  Two
+    # ring-top probes in a row on the same side now bisect, and with the
+    # true tangency the search takes a handful of rings; with no tangency it
+    # bisects on refined circles, no more than a plain bisection
     fake = power(0.7, 5)
-    r, events = search(monkeypatch, fake, missed_band)
+    r, events = search(monkeypatch, fake, "true", missed_band)
     check_search(fake, r, events, missed_band)
-    assert len([p for kind, p in events if kind == "ring"]) <= 16
+    assert len([e for e in events if e[0] == "ring"]) <= 8
+    r, events = search(monkeypatch, fake, "none", missed_band)
+    check_search(fake, r, events, missed_band)
+    assert len([e for e in events if e[0] == "refine"]) <= BISECTION_CIRCLES
+
+
+@pytest.mark.parametrize("tangency", ["high", "low"])
+def test_wrong_tangency_is_caught(monkeypatch, tangency):
+    # a candidate above the crossing fails its circle and becomes hi; one
+    # below it by more than tol fails the point check at r + tol, and the
+    # search bisects on refined circles
+    fake = power(0.7, 5)
+    r, events = search(monkeypatch, fake, tangency)
+    check_search(fake, r, events)
+    refined = [e[1] for e in events if e[0] == "refine"]
+    if tangency == "high":
+        assert any(not fake(p) < 1 for p in refined[1:])
+    else:
+        assert len([e for e in events if e[0] == "tangency"]) == 1
+        assert len(refined) >= 10
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(r0=st.floats(0.05, 0.999, exclude_min=True, exclude_max=True),
-       k=st.floats(1, 80))
-def test_search_on_random_power_laws(r0, k):
+       k=st.floats(1, 80), tangency=st.sampled_from(list(TANGENCIES)))
+def test_search_on_random_power_laws(r0, k, tangency):
     fake = power(r0, k)
     with pytest.MonkeyPatch.context() as mp:
-        r, events = search(mp, fake)
+        r, events = search(mp, fake, tangency)
     check_search(fake, r, events)
+
+
+@pytest.mark.parametrize("a,n,theta,rings,jets", [
+    (0.5, 2, math.pi, 2, 5), (-0.2, 15, math.pi, 6, 7),
+    (0.7, 10, -math.pi / 2, 6, 6), (0.0, 40, math.pi, 6, 6)],
+    ids=["n2-pi", "n15-pi", "n10-minus-half-pi", "n40-pi"])
+def test_ring_and_jet_counts_on_benchmark_ops(monkeypatch, a, n, theta,
+                                              rings, jets):
+    # the benchmark's Fn radius ops: the search before the tangency solve
+    # took 7/10/8/10 rings and 6/12/9/15 jet calls on them
+    calls = []
+
+    def counting(f):
+        def wrapped(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapped
+
+    for name in ("_ring_moduli", "_log_jets"):
+        monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
+    univalency_radius(ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta)),
+                      TOL)
+    assert calls.count("_ring_moduli") == rings
+    assert calls.count("_log_jets") == jets
 
 
 @pytest.mark.parametrize("a,n,theta", [
@@ -181,7 +319,8 @@ def test_search_on_random_power_laws(r0, k):
                                "n40-pi"])
 def test_circle_count_on_dense_ring_cases(monkeypatch, a, n, theta):
     # the cases of TestRadius::test_radius_against_dense_ring; a bisection
-    # spends BISECTION_CIRCLES on each
+    # spends BISECTION_CIRCLES on each, and the search before the tangency
+    # solve took 7-10
     ring = analysis._ring
     probes = []
 
@@ -192,35 +331,4 @@ def test_circle_count_on_dense_ring_cases(monkeypatch, a, n, theta):
     monkeypatch.setattr(analysis, "_ring", counting)
     univalency_radius(ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta)),
                       TOL)
-    assert len(probes) <= 15
-
-
-def test_only_the_returned_circle_is_refined_below_the_threshold(monkeypatch):
-    # Fn n=40 theta=pi a=0: circles whose ring tops out below STEER take
-    # their ring alone, and the returned circle goes through the Newton jets
-    spec = ConvolutionSpec(0.0, make_mapping("Fn", n=40, theta=math.pi))
-    calls = []  # (name, radius, ring top or None)
-
-    def counting(f):
-        def wrapped(*args):
-            out = f(*args)
-            if f.__name__ == "_ring_moduli":
-                calls.append((f.__name__, args[1][0], np.max(out[1])))
-            else:
-                calls.append((f.__name__, np.max(np.abs(args[1])), None))
-            return out
-        return wrapped
-
-    for name in ("_ring_moduli", "_log_jets"):
-        monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
-    r = univalency_radius(spec, TOL)
-
-    def jets_at(rho):
-        return [c for c in calls
-                if c[0] == "_log_jets" and abs(c[1] - rho) <= 1e-12]
-
-    tops = {rho: top for name, rho, top in calls if name == "_ring_moduli"}
-    steering = [rho for rho, top in tops.items() if top < STEER and rho != r]
-    assert r in tops and len(steering) >= 3
-    assert all(not jets_at(rho) for rho in steering)
-    assert len(jets_at(r)) == 3
+    assert len(probes) <= 8
