@@ -6,15 +6,17 @@ function J, whose boundary values come from one closed form in which no
 term cancels (the real part also from the piecewise argument analysis),
 and the univalency radius out to |z| = 1 - 1e-6: the largest circle on
 which |Gp/Hp| stays below 1, whose circle maximum is nondecreasing in r
-while Hp has no zeros (maximum modulus principle).  The search brackets
-it on ring tops, rings of at least 1440 nodes and eight a period of z^n,
-then solves for the point where the circle touches |Gp/Hp| = 1 by 2-D
-Newton on log |Gp/Hp| from every peak of the bracket's failing ring, and
-returns a radius 2^-36 below it whose circle passes (its ring's peaks
-raised by Newton in angle to the circle maximum) and tol outside which
-one point reaches 1.  Scan rows and radius rings are built and evaluated
-by ``convolution._ring_moduli``, and the Newton jets come from
-``convolution`` too, by spec; only J reads a term table.
+while Hp has no zeros (maximum modulus principle).  The search runs in
+three phases: it brackets the radius on ring tops, rings of at least 1440
+nodes and eight a period of z^n; it solves once for the point where the
+circle touches |Gp/Hp| = 1, by 2-D Newton on log |Gp/Hp| from every peak
+of the bracket's failing ring, and returns a radius 2^-36 below it whose
+circle passes (its ring's peaks raised by Newton in angle to the circle
+maximum) and tol outside which one point reaches 1; failing that, it
+bisects to tol on such circles.  Scan rows and radius rings are built and
+evaluated by ``convolution._ring_moduli``, and the Newton jets and point
+values come from ``convolution`` too; J and the point values read a term
+table.
 """
 import cmath
 import json
@@ -490,6 +492,11 @@ def _peaks(mod):
     return 2 * math.pi / len(mod) * (k + shift)
 
 
+def _moduli(spec, z):
+    # |Gp/Hp| at the points z, by the rings' evaluator
+    return np.abs(_ratio(*_derivatives(spec.a, term_table(spec.right), z)))
+
+
 def _phi_jets(spec, r, t):
     """|omega| and the partial derivatives phi_t, phi_tt, phi_r and phi_rt of
     phi = log |omega| at the points r e^{it}.  With L1 = omega'/omega and
@@ -533,8 +540,7 @@ def _refine(spec, r, mod):
         if not len(t):
             break
     z = r * np.exp(1j * np.concatenate(settled + [t]))
-    w = _ratio(*_derivatives(spec.a, term_table(spec.right), z))
-    return float(np.max(np.abs(w), initial=top))
+    return float(np.max(_moduli(spec, z), initial=top))
 
 
 def _circle_max(spec, r):
@@ -546,22 +552,22 @@ def _circle_max(spec, r):
     return _refine(spec, r, _ring(spec, r))
 
 
-def _tangency(spec, lo, hi, mod):
-    """(r*, t*): the least radius r* in (lo, hi) at which the circle |z| = r*
+def _tangency(spec, hi, mod):
+    """(r*, t*): the least radius r* in (0, hi) at which the circle |z| = r*
     touches the level set |omega| = 1, at z = r* e^{it*}, or None.
 
     It solves phi = 0 and phi_t = 0 for phi(r, t) = log |omega(r e^{it})|
     by 2-D Newton (``_phi_jets``), from (hi, t) at every peak t of the
     moduli ``mod`` of the ring of |z| = hi (``_peaks``) at once, one
-    ``_log_jets`` call a step.  Each iterate's r is clipped to [lo, hi],
-    and its step in t to an eighth of a period 2 pi/n of z^n.  A seed drops
-    out when its iterate is not finite or not at a peak of its circle
-    (phi_tt >= 0), when it is clipped a second time (its tangency lies
-    beyond the bracket), or after _STEPS steps.  It has
-    converged when its steps in r and t are at most _STEP_TOL, to a point
-    strictly inside (lo, hi) at a peak of the circle (phi_tt < 0) where phi
-    grows with r (phi_r > 0); Newton's quadratic convergence then leaves r
-    about _STEP_TOL^2 from the tangency.  r* is the least converged radius."""
+    ``_log_jets`` call a step.  Each iterate's r is clipped to [0, hi], and
+    its step in t to an eighth of a period 2 pi/n of z^n.  A seed drops out
+    when its iterate is not finite or not at a peak of its circle (phi_tt
+    >= 0), when it is clipped a second time (its tangency lies beyond the
+    bracket), or after _STEPS steps.  It has converged when its steps in r
+    and t are at most _STEP_TOL, to a point strictly inside (0, hi) at a
+    peak of the circle (phi_tt < 0) where phi grows with r (phi_r > 0);
+    Newton's quadratic convergence then leaves r about _STEP_TOL^2 from the
+    tangency.  r* is the least converged radius."""
     step = math.pi / 4 / (spec.right.n or 1)
     t = _peaks(mod)
     r = np.full_like(t, hi)
@@ -573,9 +579,9 @@ def _tangency(spec, lo, hi, mod):
             phi, det = np.log(w), fr * ftt - ft * frt
             dr, dt = (ft * ft - phi * ftt) / det, (frt * phi - fr * ft) / det
             t = t + np.clip(dt, -step, step)
-            new = np.clip(r + dr, lo, hi)
+            new = np.clip(r + dr, 0.0, hi)
             done = ((np.maximum(abs(dr), abs(dt)) <= _STEP_TOL) & (ftt < 0)
-                    & (fr > 0) & (lo < new) & (new < hi))
+                    & (fr > 0) & (0 < new) & (new < hi))
             found += zip(new[done].tolist(), t[done].tolist())
             clipped = new != r + dr
             live = ~done & ~(clipped & held) & (ftt < 0) & np.isfinite(new + t)
@@ -585,15 +591,35 @@ def _tangency(spec, lo, hi, mod):
     return min(found, default=None)
 
 
-def _point(spec, z):
-    # |Gp/Hp| at the one point z, by the rings' evaluator
-    w = _ratio(*_derivatives(spec.a, term_table(spec.right), np.array([z])))
-    return float(np.abs(w[0]))
-
-
 def _log_or_nan(m):
     # log M(r) for the regula falsi; nan where it is not finite
     return math.log(m) if 0 < m < math.inf else math.nan
+
+
+def _bracket(spec, mod, tol):
+    """(lo, hi, mod): a bracket of the radius narrowed on ring tops alone
+    from (0, OUTER_RADIUS), whose ring moduli are ``mod``.  hi's ring tops
+    out at 1 or more, lo's below 1 (0 is never probed), and ``mod`` is hi's
+    ring.  Each probe is regula falsi on the log of the ring top aimed at a
+    top of 1.1, kept tol/2 inside the bracket, or a bisection where that
+    log is not finite at an end and after two probes in a row replaced the
+    same end.  It stops once hi's ring tops out at 1.25 or less, or hi - lo
+    <= tol."""
+    lo, y_lo, hi, y_hi = 0.0, math.nan, OUTER_RADIUS, _log_or_nan(np.max(mod))
+    side = twice = None  # side: the last probe's ring passed
+    while hi - lo > tol and not y_hi <= _NEAR:
+        r = (lo + hi) / 2
+        if math.isfinite(y_lo + y_hi) and not twice:
+            falsi = hi - (y_hi - _AIM) * (hi - lo) / (y_hi - y_lo)
+            r = min(max(falsi, lo + tol / 2), hi - tol / 2)
+        ring = _ring(spec, r)
+        top = np.max(ring)
+        twice, side = side == (top < 1), top < 1
+        if top < 1:
+            lo, y_lo = r, _log_or_nan(top)
+        else:
+            hi, y_hi, mod = r, _log_or_nan(top), ring
+    return lo, hi, mod
 
 
 def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
@@ -610,23 +636,22 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     when M(r) < 1, M(r) its ring's top raised by Newton from the ring's
     peaks (``_circle_max``), a value at a point of the circle.
 
-    The search keeps a bracket [lo, hi] of [0, OUTER_RADIUS]: hi fails,
-    and lo's ring tops out below 1 (0 is never probed).  It narrows the
-    bracket on ring tops alone, by regula falsi on the log of the top aimed
-    at a top of 1.1, with bisection where that log is not finite at an end
-    and after two probes in a row replaced the same end, until hi's ring
-    tops out at 1.25 or less.  Then it solves for the tangency (r*, t*),
-    where |z| = r* touches |Gp/Hp| = 1, from every peak of hi's ring
-    (``_tangency``), with r clipped above the largest radius whose circle
-    passed.  As |Gp/Hp| = 1 at r* e^{it*}, the radius is at most r*, and
-    it is r* at the winning peak.  The search returns r = r* - _MARGIN
-    (2^-36, or tol/4 if that is less) once it has checked it twice: r's
-    circle passes, and |Gp/Hp| >= 1 at the one point (r + tol) e^{it*}, so
-    the circle r + tol fails.  A returned circle that fails becomes hi, and
-    the search goes on below it.  If no seed converges, or the point check
-    fails, it bisects to tol on passing circles instead, and returns lo.
+    The search runs in three phases.
+    1. Bracket: [lo, hi] is narrowed on ring tops alone (``_bracket``)
+       until hi's ring tops out at 1.25 or less, or hi - lo <= tol.
+    2. Tangency, once, if hi - lo > tol: from every peak of hi's ring it
+       solves for (r*, t*), where |z| = r* touches |Gp/Hp| = 1
+       (``_tangency``).  As |Gp/Hp| = 1 at r* e^{it*}, the radius is at
+       most r*, and it is r* at the winning peak.  The candidate r = r* -
+       _MARGIN (2^-36, or tol/4 if that is less) is returned if
+       |Gp/Hp| >= 1 at the one point (r + tol) e^{it*}, so that the circle
+       r + tol fails, and r's own circle passes.  A candidate whose circle
+       fails becomes hi.
+    3. Fallback, bisection to tol on circles: it starts from lo if lo < hi
+       and lo's circle passes, else from 0.  lo passes (or is 0), hi
+       fails, and lo is returned.
     So r always passes and r + tol always fails.  The benchmark's four Fn
-    radii take 2-6 rings and 5-7 ``_log_jets`` calls.
+    radii take 2-6 rings and 5-7 ``_log_jets`` calls, and no fallback.
     """
     instance(spec, ConvolutionSpec, "spec")
     tol = real(tol, "tol")
@@ -635,46 +660,23 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     mod = _ring(spec, OUTER_RADIUS)
     if _refine(spec, OUTER_RADIUS, mod) < 1:
         return 1.0
-    # (r, log top, passed) for the radii under hi whose ring tops out below
-    # 1, lo last; passed once r's circle has passed
-    los = [(0.0, math.nan, True)]
-    hi, y_hi = OUTER_RADIUS, _log_or_nan(np.max(mod))
-    side = twice = bisect = None  # side: the last probe's ring passed
-    while True:
-        lo, y_lo, passed = los[-1]
-        if hi - lo <= tol:
-            if passed:
-                return lo
-            r = lo
-        elif not (bisect or y_hi <= _NEAR):  # narrow on ring tops
-            r = (lo + hi) / 2
-            if math.isfinite(y_lo + y_hi) and not twice:
-                falsi = hi - (y_hi - _AIM) * (hi - lo) / (y_hi - y_lo)
-                r = min(max(falsi, lo + tol / 2), hi - tol / 2)
-            ring = _ring(spec, r)
-            top = np.max(ring)
-            twice, side = side == (top < 1), top < 1
-            if top < 1:
-                los.append((r, _log_or_nan(top), False))
-            else:
-                hi, y_hi, mod = r, _log_or_nan(top), ring
-            continue
+    lo, hi, mod = _bracket(spec, mod, tol)
+    found = _tangency(spec, hi, mod) if hi - lo > tol else None
+    if found is not None:
+        r, t = found[0] - min(tol / 4, _MARGIN), found[1]
+        z = (r + tol) * cmath.exp(1j * t)
+        if r + tol >= hi or _moduli(spec, np.array([z]))[0] >= 1:
+            if _circle_max(spec, r) < 1:
+                return r
+            hi = r
+    if lo >= hi:
+        lo = 0.0
+    elif lo > 0 and not _circle_max(spec, lo) < 1:
+        lo, hi = 0.0, lo
+    while hi - lo > tol:
+        r = (lo + hi) / 2
+        if _circle_max(spec, r) < 1:
+            lo = r
         else:
-            sure = next(x for x, _, ok in reversed(los) if ok)
-            found = None if bisect else _tangency(spec, sure, hi, mod)
-            if found is not None:
-                r = found[0] - min(tol / 4, _MARGIN)
-                found = (r + tol >= hi or _point(
-                    spec, (r + tol) * cmath.exp(1j * found[1])) >= 1)
-            bisect = not found
-            if bisect:
-                r = (lo + hi) / 2
-        m = _circle_max(spec, r)
-        if not m < 1:
-            hi, bisect = r, True
-            if r <= lo:  # lo's ring passed a failing circle: trust no ring
-                los = [x for x in los if x[2] and x[0] < r]
-        elif bisect and r > lo:
-            los.append((r, _log_or_nan(m), True))
-        else:
-            return r
+            hi = r
+    return lo

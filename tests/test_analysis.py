@@ -1001,6 +1001,48 @@ class TestRadius:
             assert abs(mp.exp(log_modulus(mp.mpf(ts))) - 1) <= 1e-12
             assert abs(mp.diff(log_modulus, mp.mpf(ts))) <= 1e-10
 
+    # the radii of the benchmark's Fn radius ops and of cases above, as the
+    # search that ran bracket, tangency and fallback in one loop returned
+    PINNED = {
+        "n2-pi": (0.5, 2, math.pi, 0.9662076166298442),
+        "n15-pi": (-0.2, 15, math.pi, 0.9803357930338261),
+        "n10-minus-half-pi": (0.7, 10, -math.pi / 2, 0.9631949096989483),
+        "n40-pi": (0.0, 40, math.pi, 0.9914757462508254),
+        "n2-half-pi": (-0.5, 2, math.pi / 2, 0.9234471894355462),
+        "n512-a-0.5": (-0.5, 512, 2.0, 0.9993272936896674),
+        "n512-a0": (0.0, 512, 2.0, 0.999323983814854),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_radius_pinned(self, case):
+        a, n, theta, pinned = self.PINNED[case]
+        spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
+        assert abs(univalency_radius(spec, 1e-6) - pinned) <= 1e-13
+
+    # ROADMAP item 2: the outer ring tops out at 1.012 and no seed of
+    # it converges, so the search bisects on refined circles, which miss
+    # the narrow peak next to a pole; the only real factor known to do so
+    FALLBACK = ConvolutionSpec(-0.99878, make_mapping("Fn", n=7, theta=0.7071))
+
+    def test_fallback_keeps_its_contract(self):
+        # the refined circles: r passes and r + tol fails
+        spec, tol = self.FALLBACK, 1e-6
+        mod = analysis._ring(spec, analysis.OUTER_RADIUS)
+        lo, hi, mod = analysis._bracket(spec, mod, tol)
+        assert hi - lo > tol and analysis._tangency(spec, hi, mod) is None
+        r = univalency_radius(spec, tol)
+        inside, outside = (analysis._circle_max(spec, r),
+                           analysis._circle_max(spec, r + tol))
+        assert inside < 1 <= outside
+        assert inside == pytest.approx(0.99972, abs=1e-5)
+        assert outside == pytest.approx(1.00049, abs=1e-5)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the ring and the "
+                       "refined circles miss a peak 1.2391 high")
+    def test_fallback_radius_against_dense_ring(self):
+        spec = self.FALLBACK
+        assert self.ring_and_arcs_max(spec, univalency_radius(spec, 1e-6)) < 1
+
     @pytest.mark.parametrize("a,n,theta", [(-0.98, 3, 1.8), (-0.98, 5, -0.8)],
                              ids=["n3", "n5"])
     def test_radius_past_0999_against_dense_ring(self, a, n, theta):

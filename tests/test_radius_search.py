@@ -50,9 +50,9 @@ TANGENCIES = {
 def search(monkeypatch, fake, tangency="true", top=None):
     """univalency_radius with top(r) as a circle's ring top (fake itself
     unless given), fake(r) as its refined maximum and as |omega| at any
-    point of it, and the tangency step of TANGENCIES[tangency]; the answer
-    and the events in order: ("ring", r), ("refine", r), ("tangency", lo,
-    hi) and ("point", |z|)."""
+    point of it, and the tangency step of TANGENCIES[tangency] on (0, hi];
+    the answer and the events in order: ("ring", r), ("refine", r),
+    ("tangency", hi) and ("point", |z|)."""
     top = top or fake
     events = []
 
@@ -64,17 +64,17 @@ def search(monkeypatch, fake, tangency="true", top=None):
         events.append(("refine", r))
         return fake(r)
 
-    def tangent(spec, lo, hi, mod):
-        events.append(("tangency", lo, hi))
-        r = TANGENCIES[tangency](fake, lo, hi)
+    def tangent(spec, hi, mod):
+        events.append(("tangency", hi))
+        r = TANGENCIES[tangency](fake, 0.0, hi)
         return None if r is None else (r, 0.0)
 
-    def point(spec, z):
-        events.append(("point", abs(z)))
-        return fake(abs(z))
+    def moduli(spec, z):
+        events.extend(("point", p) for p in np.abs(z))
+        return np.array([fake(p) for p in np.abs(z)])
 
     for name, f in (("_ring", ring), ("_refine", refine),
-                    ("_tangency", tangent), ("_point", point)):
+                    ("_tangency", tangent), ("_moduli", moduli)):
         monkeypatch.setattr(analysis, name, f)
     return univalency_radius(SPEC, TOL), events
 
@@ -88,10 +88,10 @@ def check_search(fake, r, events, top=None, rings=2 * BISECTION_CIRCLES):
     # row replaced the same end, the next one bisects.  A refined circle
     # that fails becomes hi and ends the probes on ring tops and the
     # tangency steps; one at or below lo also drops every radius whose
-    # circle has not passed.  The tangency step gets the bracket's hi and
-    # the largest radius whose circle passed, with more than tol between hi
-    # and lo, and the point check lies tol outside the candidate it
-    # returned.  The answer passes, r + tol fails, it is 0 or was refined,
+    # circle has not passed.  The tangency step gets the bracket's hi, with
+    # more than tol between hi and lo, and searches down to the largest
+    # radius whose circle passed, which is 0 then; the point check lies tol
+    # outside the candidate it returned.  The answer passes, r + tol fails, it is 0 or was refined,
     # and the search took at most the given number of rings
     top = top or fake
 
@@ -102,7 +102,7 @@ def check_search(fake, r, events, top=None, rings=2 * BISECTION_CIRCLES):
     assert not passes(OUTER)
     los, hi, sides = [(0.0, True)], OUTER, []
     tangency = distrust = False
-    for i, (kind, p, *rest) in enumerate(events[2:], 2):
+    for i, (kind, p) in enumerate(events[2:], 2):
         lo = los[-1][0]
         if kind == "ring" and events[i + 1:i + 2] != [("refine", p)]:
             assert lo < p < hi and not distrust
@@ -114,7 +114,7 @@ def check_search(fake, r, events, top=None, rings=2 * BISECTION_CIRCLES):
             else:
                 hi = p
         elif kind == "refine":
-            # a bisection probe, the closing lo or the tangency's candidate
+            # a bisection probe, the bracket's lo or the tangency's candidate
             assert lo < p < hi or p == lo or tangency and p < hi
             tangency = False
             if not passes(p):
@@ -125,7 +125,7 @@ def check_search(fake, r, events, top=None, rings=2 * BISECTION_CIRCLES):
                 los.append((p, True))
         elif kind == "tangency":
             assert not distrust
-            assert (p, *rest) == (max(x for x, ok in los if ok), hi)
+            assert (0.0, p) == (max(x for x, ok in los if ok), hi)
             assert hi - lo > TOL
             tangency = True
         elif kind == "point":
@@ -206,7 +206,7 @@ def test_true_tangency_returns_its_crossing(monkeypatch, name):
     fake = FAKES[name]
     r, events = search(monkeypatch, fake, "true")
     check_search(fake, r, events)
-    found = crossing(fake, *[e for e in events if e[0] == "tangency"][-1][1:])
+    found = crossing(fake, 0.0, [e for e in events if e[0] == "tangency"][-1][1])
     assert r == found - analysis._MARGIN
     refined = [e for e in events if e[0] == "refine"]
     assert refined == [("refine", OUTER), ("refine", r)]
@@ -229,9 +229,8 @@ def wide_band(r):
 def test_failing_returned_circle_reopens_the_bracket(monkeypatch, top):
     # ring tops read low, so lo's ring can pass where its circle fails.  A
     # candidate above the crossing fails its circle, which becomes hi, and
-    # the search goes on below it; so does a closing lo whose circle fails,
-    # and then the search bisects on refined circles from the largest one
-    # that passed (with ring tops kept, the wide band took 472,336 rings)
+    # the search goes on below it; so does a bracket lo whose circle fails,
+    # and then the search bisects on refined circles from 0 (with ring tops kept, the wide band took 472,336 rings)
     fake = power(0.7, 5)
     for tangency in TANGENCIES:
         with monkeypatch.context() as m:
