@@ -1,7 +1,8 @@
 """Decimal text written by numpy, a byte matrix at a time, for the two
 writers that print many numbers: the SVG vertices (``render._points``) and
-the floats of a report's violations (``json_floats``).  NUL bytes pad each
-number to a fixed width; the caller removes them with one ``translate``.
+the floats of a report's violations (``json_floats``), both of which write
+the digits before the point with ``groups``.  NUL bytes pad each number to
+a fixed width; the caller removes them with one ``translate``.
 """
 import json
 
@@ -76,6 +77,18 @@ def _shortest(x):
     return ok, g - 6, D + shift.astype(np.int64)
 
 
+def groups(I, k):
+    """The words of the integers I >= 0, of any shape, as k three-digit
+    groups each, right-aligned: (..., k) words, the leading ones NUL where
+    I has fewer groups, and "0" just before the point where I is 0."""
+    out = np.empty((*np.shape(I), k), "<u4")
+    for j in range(k - 1, 0, -1):  # all but the leading group
+        I, r = np.divmod(I, 1000)
+        out[..., j] = WORDS[r + (I == 0) * (2000 if j == k - 1 else 1000)]
+    out[..., 0] = WORDS[I + (2000 if k == 1 else 1000)]
+    return out
+
+
 def _words(D, e, ints, fracs):
     """The words of rows of exponent e: ``ints`` words of the digits before
     the point, right-aligned, then ``fracs`` of those after it, from the
@@ -83,13 +96,8 @@ def _words(D, e, ints, fracs):
     before = e + 1 if e >= 0 else 1 if e < -4 else 0
     zeros = -e - 1 if -4 <= e < 0 else 0  # "0.000ddd" for e = -4
     out = np.zeros((len(D), ints + fracs + (e < -4)), "<u4")
-    I = D // 10 ** (17 - before)
-    R = D - I * 10 ** (17 - before)
-    for j in range(ints - 1, 0, -1):  # all but the leading group
-        v, I = I, I // 1000
-        v -= I * 1000
-        out[:, j] = WORDS[v + (I == 0) * (2000 if j == ints - 1 else 1000)]
-    out[:, 0] = WORDS[I + (2000 if ints == 1 else 1000)]
+    I, R = np.divmod(D, 10 ** (17 - before))
+    out[:, :ints] = groups(I, ints)
     # R's 17 - before digits after `zeros` zeros, padded to whole groups
     L = zeros + 17 - before
     m = -(-L // 3)
@@ -108,11 +116,11 @@ def _words(D, e, ints, fracs):
     return out
 
 
-def json_floats(x, col):
-    """``json.dumps(col[i])`` for each i, as rows of 32-bit words padded
-    with NUL bytes; x is col as float64, NaN where an entry is not a float.
-    How the digits are found, and which entries go to json's encoder, one
-    at a time: see ``UnivalencyReport.to_json``."""
+def json_floats(x):
+    """``json.dumps(float(x[i]))`` for each i of the float64 array x, as
+    rows of 32-bit words padded with NUL bytes.  How the digits are found,
+    and which entries go to json's encoder, one at a time: see
+    ``UnivalencyReport.to_json``."""
     ok, E, D = _shortest(x)
     E[~ok] = 0
     D[~ok] = 10 ** 16
@@ -128,7 +136,7 @@ def json_floats(x, col):
     out[:, 0] |= np.signbit(x) * np.uint32(ord("-"))
     bad = np.flatnonzero(~ok)
     if len(bad):
-        texts = [json.dumps(col[i]).encode() for i in bad]
+        texts = [json.dumps(float(x[i])).encode() for i in bad]
         width = -(-max(map(len, texts)) // 4)
         if width > out.shape[1]:
             out = np.pad(out, ((0, 0), (0, width - out.shape[1])))

@@ -30,8 +30,8 @@ import numpy as np
 from ._core import (MAX_RADIUS, check_a, coefficients, finish, instance,
                     positive_int, prepare, real)
 from ._text import json_floats
-from .convolution import (ConvolutionSpec, _derivatives, _log_jets,
-                          _odd_guard, _ratio, _ring_moduli)
+from .convolution import (ConvolutionSpec, _log_jets, _moduli, _odd_guard,
+                          _ring_moduli)
 from .errors import (BoundaryDegenerateError, CohnInapplicableError,
                      DomainError, ParameterError)
 from .mappings import _phi, make_mapping, term_table
@@ -245,33 +245,26 @@ class UnivalencyReport:
         of two, whose ulp below is half the one above; a rounding within
         1e-9 P of half an ulp, or of a tie between two roundings that both
         read back; x whose exponent ``log10`` misjudges, within an ulp or
-        so of a power of ten; x of 12 digits or fewer; and any entry that
-        is not a float, such as an int modulus, which prints as an int.  A
-        modulus that is a list or a dict sends the whole report to json."""
+        so of a power of ten; and x of 12 digits or fewer.  A point that is
+        not a complex or a modulus that is not a float, such as an int that
+        prints as an int or a list that json nests and indents, sends the
+        whole report to json."""
+        zs = list(map(itemgetter(0), self.violations))
+        ms = list(map(itemgetter(1), self.violations))
+        if not set(map(type, zs)) <= {complex} or not set(map(type, ms)) <= {float}:
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True)
         head = json.dumps(self._summary(), indent=2, sort_keys=True)[:-2]
         if not self.violations:
             return head + ',\n  "violations": []\n}'
         k = len(self.violations)
-        zs = list(map(itemgetter(0), self.violations))
-        ms = list(map(itemgetter(1), self.violations))
-        if set(map(type, zs)) <= {complex}:
-            z = np.fromiter(zs, complex, k)
-        else:  # as _cx reads them
-            z = np.array([complex(float(v.real), float(v.imag)) for v in zs])
-        if set(map(type, ms)) <= {float}:
-            m = np.fromiter(ms, float, k)
-        elif not all(v is None or isinstance(v, (int, float, str)) for v in ms):
-            # a list or dict nests and indents: only json lays it out
-            return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        else:  # json writes the entries that are not floats
-            m = np.array([v if type(v) is float else math.nan for v in ms])
+        z, m = np.fromiter(zs, complex, k), np.fromiter(ms, float, k)
         # an entry is ",\n" a %s b %s c %s d, its modulus, im and re in the
         # slots; each piece is NUL-padded to whole 32-bit words
         pieces = _VIOLATION.split("%s")
         pieces[0] = ",\n" + pieces[0]
         parts = []
-        for piece, x, col in zip(pieces, (m, z.imag, z.real), (ms, z.imag, z.real)):
-            parts += [_padded(piece, k), json_floats(x, col)]
+        for piece, x in zip(pieces, (m, z.imag, z.real)):
+            parts += [_padded(piece, k), json_floats(x)]
         parts.append(_padded(pieces[-1], k))
         head = _padded(head + ',\n  "violations": [', 1).tobytes()
         tail = b"\n  ]\n}"
@@ -490,11 +483,6 @@ def _peaks(mod):
     left, mid, right = wrapped[k], mod[k], wrapped[k + 2]
     shift = (left - right) / (2 * (left - 2 * mid + right))  # in [-1/2, 1/2]
     return 2 * math.pi / len(mod) * (k + shift)
-
-
-def _moduli(spec, z):
-    # |Gp/Hp| at the points z, by the rings' evaluator
-    return np.abs(_ratio(*_derivatives(spec.a, term_table(spec.right), z)))
 
 
 def _phi_jets(spec, r, t):

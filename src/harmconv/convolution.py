@@ -145,6 +145,12 @@ def _ring_moduli(spec, radii, K):
     return z, np.concatenate(M)
 
 
+def _moduli(spec, z):
+    """|Gp/Hp| at the points z, of any shape, by the rings' evaluator,
+    unguarded; inf at a critical point (``_ratio``)."""
+    return np.abs(_ratio(*_derivatives(spec.a, term_table(spec.right), z)))
+
+
 def _log_jets(spec, z):
     """(omega, L1, L2) of spec at the 1-d points z != 0, unguarded: omega =
     Gp/Hp, L1 = omega'/omega, L2 = (log omega)''.  One ``odd_rests`` call

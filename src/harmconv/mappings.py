@@ -40,7 +40,7 @@ import numpy as np
 from ._core import (SINGULARITY_GUARD, check_a, finish, instance,
                     norm_theta, positive_int, prepare)
 from .errors import DomainError, ParameterError, SingularityError
-from .special import _log, li2
+from .special import _li2, _log
 
 # the parameters each family takes, and the check of each
 _PARAMETERS = {"F0": (), "Fa": ("a",), "F1": ("theta",), "Fn": ("theta", "n")}
@@ -195,9 +195,11 @@ class TermTable(NamedTuple):
         ``_chi_series`` at the near points, where rho = |d| max(1, |z/(1-z)|,
         |z/(1+z)|) < 1/4, and at the far points chi = Li2(-rz) - Li2(rz) at
         r = 1 - d and r = 1 (r[0] for n > 1) over d^2, where 1/d^2 <= 16
-        (rho/d)^2.  One ``li2`` call takes the lone logs' roots at every point
-        and the far route's extra roots at the far points only.  z may have
-        any shape."""
+        (rho/d)^2.  One ``_li2`` call takes the lone logs' roots at every
+        point and the far route's extra roots at the far points only.  Each
+        argument is +-r z with |r| = 1 and z in the open disk, as its callers
+        check, where ``li2``'s check cannot fail and its clamp would move no
+        point by more than an ulp.  z may have any shape."""
         L = 2 * z * (1 + z * z * _atanh_rest(z))
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
         near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
@@ -206,7 +208,7 @@ class TermTable(NamedTuple):
         # the extra roots at the far points
         y = np.concatenate((np.multiply.outer(z, self.r).ravel(),
                             np.multiply.outer(z[~near], extra).ravel()))
-        chi = np.subtract(*li2(np.multiply.outer((-1, 1), y))) if len(y) else y
+        chi = np.subtract(*_li2(np.multiply.outer((-1, 1), y)))
         chi_r = chi[:z.size * m].reshape(*z.shape, m)
         chi_f = chi[z.size * m:].reshape(-1, len(extra))
         ih = self.alpha * L + ((chi_r * self.c).sum(-1) if m else 0)

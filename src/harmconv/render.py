@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._core import MAX_RADIUS, instance, positive_int, real
-from ._text import WORDS
-from .convolution import ConvolutionSpec, conv_value
+from ._text import WORDS, groups
+from .convolution import ConvolutionSpec, _values
 from .errors import ParameterError
 from .mappings import term_table
 
@@ -43,18 +43,21 @@ class FigureSpec:
             raise ParameterError(f"max_radius must lie in (0, {MAX_RADIUS}]")
 
 
-# the most kernel elements, points x (lone-log roots + 2), of one conv_value
+# the most kernel elements, points x (lone-log roots + 2), of one _values
 # call in _curves: blocks of whole curves pay its fixed cost once a block,
-# and a bound on elements rather than points keeps an Fn figure's li2 rows as
-# small as an F1 figure's (one call a figure added 9 MiB of peak RSS)
+# and a bound on elements rather than points keeps an Fn figure's
+# dilogarithm rows as small as an F1 figure's (one call a figure added
+# 9 MiB of peak RSS)
 _RENDER_BLOCK = 2 ** 13
 
 
 def _curves(spec: ConvolutionSpec, fig: FigureSpec):
     """Sample all webbing curves; returns a list of vertex arrays, each
-    an array of complex image points.  The curves go to ``conv_value`` in
-    blocks of whole curves of at most _RENDER_BLOCK kernel elements (a
-    longer curve goes alone), and the values are split back into curves."""
+    an array of complex image points H + conj(G), as ``conv_value`` gives
+    them.  FigureSpec keeps every sample within |z| <= max_radius < 1, so
+    the curves go to the unchecked ``_values`` in blocks of whole curves
+    of at most _RENDER_BLOCK kernel elements (a longer curve goes alone),
+    and the values are split back into curves."""
     S = fig.samples_per_curve
     t = 2 * math.pi * np.arange(S + 1) / S  # rings are closed loops
     s = fig.max_radius * np.arange(S) / (S - 1)
@@ -62,10 +65,12 @@ def _curves(spec: ConvolutionSpec, fig: FigureSpec):
               for j in range(fig.rings)]
     params += [s * np.exp(1j * (2 * math.pi * k / fig.rays))
                for k in range(fig.rays)]
-    roots = len(term_table(instance(spec, ConvolutionSpec, "spec").right).r)
-    per = max(1, _RENDER_BLOCK // ((roots + 2) * (S + 1)))
-    values = [conv_value(spec, np.concatenate(params[i:i + per]))
-              for i in range(0, len(params), per)]
+    table = term_table(instance(spec, ConvolutionSpec, "spec").right)
+    per = max(1, _RENDER_BLOCK // ((len(table.r) + 2) * (S + 1)))
+    values = []
+    for i in range(0, len(params), per):
+        H, G = _values(spec.a, table, np.concatenate(params[i:i + per]))
+        values.append(H + np.conj(G))
     ends = np.cumsum([len(p) for p in params[:-1]])
     return np.split(np.concatenate(values), ends)
 
@@ -106,20 +111,16 @@ def _points(curves):
         return [" ".join(map(_point, zip(z.real, -z.imag))) for z in curves]
     whole, frac = np.divmod(np.rint(y).astype(np.int64), 10 ** 6)
     top = int(whole.max())
-    groups = 1 + (top >= 1000) + (top >= 10 ** 6)
+    k = 1 + (top >= 1000) + (top >= 10 ** 6)
     # per vertex: x's words, then y's: integer groups, ".ddd", "ddd" + separator
-    words = np.empty((len(c), 2, groups + 2), "<u4")
+    words = np.empty((len(c), 2, k + 2), "<u4")
     hi, lo = np.divmod(frac, 1000)
     words[..., -2] = np.take(WORDS, hi) | ord(".")
     words[..., -1] = (np.take(WORDS, lo) >> 8) | _SEPARATORS
     ends = np.cumsum([len(z) for z in curves]) - 1
     words[ends, 1, -1] ^= (ord(" ") ^ ord("\n")) << 24  # "\n" ends a curve
-    for j in range(groups - 1, 0, -1):  # all but the leading group
-        whole, r = np.divmod(whole, 1000)
-        words[..., j] = np.take(
-            WORDS, r + (whole == 0) * (2000 if j == groups - 1 else 1000))
-    words[..., 0] = (np.take(WORDS, whole + (2000 if groups == 1 else 1000))
-                     | np.signbit(v) * np.uint32(ord("-")))
+    words[..., :k] = groups(whole, k)
+    words[..., 0] |= np.signbit(v) * np.uint32(ord("-"))
     text = words.tobytes().translate(None, b"\0").decode("ascii")
     return text.split("\n")[:-1]
 
@@ -166,7 +167,7 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
         f'width="{fig.width_px}" height="{fig.height_px}" '
         f'viewBox="{_FMT % vb[0]} {_FMT % vb[1]} {_FMT % vb[2]} {_FMT % vb[3]}">',
         # no sample is dropped: FigureSpec caps max_radius at MAX_RADIUS,
-        # inside conv_value's domain; the comment stays for readers of the SVG
+        # inside the open disk; the comment stays for readers of the SVG
         "<!-- dropped samples: 0 -->",
         f'<g fill="none" stroke="{stroke}" stroke-width="{_FMT % sw}">',
     ]

@@ -54,6 +54,7 @@ def li2(z):
     Arguments with |z| in (1, 1+1e-12] are clamped to the circle; anything
     farther out, or NaN, raises DomainError.  Absolute and relative error
     stay below 1e-15 everywhere on the closed disk, subnormal z included.
+    The points are checked here, once; ``_li2`` evaluates them.
     """
     arr, scalar = prepare(z)
     w = np.atleast_1d(arr).astype(complex)  # a copy: w is scaled in place
@@ -63,7 +64,13 @@ def li2(z):
     over = r > 1
     if np.any(over):
         w[over] /= r[over]
+    return finish(_li2(w).reshape(arr.shape), scalar)
 
+
+def _li2(w):
+    """``li2`` at the complex points w, of any shape, on the closed unit
+    disk, unchecked: a point outside it, or NaN, gives a wrong number
+    rather than an error.  w is not written to."""
     # Li2(x) = sum_j B_j u^(j+1)/(j+1)! in u = -log(1-x), converging for
     # |u| < 2pi; Re x <= 1/2 keeps |u| <= pi/3.  Re z > 1/2 takes x = 1-z.
     left = w.real <= 0.5
@@ -84,4 +91,4 @@ def li2(z):
     refl = ~left & ~one
     out[refl] = PI2_6 + u[refl] * _log(x[refl]) - out[refl]
     out[one] = PI2_6
-    return finish(out.reshape(arr.shape), scalar)
+    return out

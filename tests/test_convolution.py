@@ -15,6 +15,7 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       taylor_of_mapping, univalency_radius,
                       zeros_in_unit_disk)
 from harmconv.convolution import _log_jets
+from harmconv.special import _li2
 
 RNG = np.random.default_rng(31)
 
@@ -465,14 +466,14 @@ def test_coefficient_errors_name_the_coefficients(make):
 
 def test_far_route_evaluates_each_root_once(monkeypatch):
     # Fn n=3 theta=pi/4 takes the far pair at every point (|d| > 1/4); its
-    # root 1 is also the r = 1 lone log's, so one li2 argument row serves both
+    # root 1 is also the r = 1 lone log's, so one _li2 argument row serves both
     calls = []
 
     def spy(y):
         calls.append(y)
-        return li2(y)
+        return _li2(y)
 
-    monkeypatch.setattr(mappings, "li2", spy)
+    monkeypatch.setattr(mappings, "_li2", spy)
     right = make_mapping("Fn", n=3, theta=math.pi / 4)
     z = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
     conv_value(ConvolutionSpec(0.5, right), z)
@@ -487,7 +488,7 @@ def test_far_route_evaluates_each_root_once(monkeypatch):
     make_mapping("Fn", n=2, theta=3.1), make_mapping("Fn", n=3, theta=math.pi / 4)],
     ids=["F0", "F1", "Fn2-pi", "Fn2-3", "Fn2-3.1", "Fn3-pi/4"])
 def test_each_point_takes_its_own_route(right, monkeypatch):
-    # odd_integrals' li2 takes 2 elements per lone-log root at every point,
+    # odd_integrals' _li2 takes 2 elements per lone-log root at every point,
     # and the far pair's 2 more (root 1 - d) only at the far points, where
     # rho = |d| max(1, |z/(1-z)|, |z/(1+z)|) >= 1/4, 4 (root 1 too) for a
     # table with no lone log; a point's value is the one it has alone
@@ -495,14 +496,14 @@ def test_each_point_takes_its_own_route(right, monkeypatch):
 
     def spy(y):
         sizes.append(y.size)
-        return li2(y)
+        return _li2(y)
 
     rng = np.random.default_rng(32)
     z = 0.99 * np.sqrt(rng.uniform(size=400)) * np.exp(
         2j * math.pi * rng.uniform(size=400))
     spec, t = ConvolutionSpec(0.5, right), mappings.term_table(right)
     alone = np.array([conv_value(spec, p) for p in z])
-    monkeypatch.setattr(mappings, "li2", spy)
+    monkeypatch.setattr(mappings, "_li2", spy)
     got = conv_value(spec, z)
     rho = abs(t.d) * np.maximum(1, np.maximum(abs(z / (1 - z)), abs(z / (1 + z))))
     m, far = len(t.r), np.count_nonzero(rho >= 0.25)

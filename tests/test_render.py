@@ -7,6 +7,8 @@ import pytest
 
 from harmconv import (ConvolutionSpec, FigureSpec, ParameterError,
                       conv_value, make_mapping, render_webbing, render)
+from harmconv._core import MAX_RADIUS
+from harmconv.convolution import _values
 from harmconv.mappings import term_table
 from harmconv.render import _curves
 
@@ -155,25 +157,25 @@ def test_blocks_match_one_call_per_curve(spec, size):
         assert np.all(np.abs(c - want) <= 1e-13 * np.maximum(1, np.abs(want)))
 
 
-# conv_value calls per figure: 2, 2, 4, 17 and 5 kernel elements a point
+# _values calls per figure: 2, 2, 4, 17 and 5 kernel elements a point
 CALLS = {"default": [5, 5, 12, 34, 12], "reduced": [1, 1, 1, 2, 1]}
 
 
 @pytest.mark.parametrize("size", FIGURES)
 @pytest.mark.parametrize("k", range(len(BLOCK_SPECS)), ids=BLOCK_IDS)
 def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
-    # every conv_value call holds consecutive whole curves of at most
+    # every _values call holds consecutive whole curves of at most
     # _RENDER_BLOCK kernel elements, points x (lone-log roots + 2), but a
     # curve longer than that goes alone: Fn n=15 has 15 roots, so each of
     # its 512-sample curves (8,704 or 8,721 elements) takes one call
     spec, fig = BLOCK_SPECS[k], FIGURES[size]
     seen = []
 
-    def spy(s, z):
+    def spy(a, t, z):
         seen.append(len(z))
-        return conv_value(s, z)
+        return _values(a, t, z)
 
-    monkeypatch.setattr(render, "conv_value", spy)
+    monkeypatch.setattr(render, "_values", spy)
     ends = np.cumsum([len(c) for c in _curves(spec, fig)])
     last = np.searchsorted(ends, np.cumsum(seen))  # each call's last curve
     assert np.array_equal(ends[last], np.cumsum(seen))
@@ -287,6 +289,20 @@ def test_svg_matches_the_per_point_route(spec, size, monkeypatch, fallbacks):
         " ".join("%.6f,%.6f" % (x, y) for x, y in zip(c.real, -c.imag))
         for c in curves])
     assert svg == render_webbing(spec, fig)
+
+
+@pytest.mark.parametrize("spec", [
+    spec_f1(), ConvolutionSpec(0.5, make_mapping("Fn", n=3, theta=math.pi / 4))],
+    ids=["F1-pi/6", "Fn3-pi/4"])
+def test_renders_out_to_the_largest_radius(spec):
+    # FigureSpec accepts max_radius = MAX_RADIUS, where |0.999 e^{it}| rounds
+    # an ulp above 0.999 at some ring nodes: the figure is drawn all the same
+    fig = FigureSpec(max_radius=MAX_RADIUS)
+    svg = render_webbing(spec, fig)
+    points = [e.get("points") for e in ET.fromstring(svg).iter(
+        "{http://www.w3.org/2000/svg}polyline")]
+    assert len(points) == fig.rings + fig.rays
+    assert points == [percent(c.real, -c.imag) for c in _curves(spec, fig)]
 
 
 @pytest.mark.parametrize("fig,calls", [

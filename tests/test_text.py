@@ -12,10 +12,10 @@ from harmconv import GridSpec, UnivalencyReport
 from harmconv import _text
 
 
-def texts(x, col=None):
+def texts(x):
     """json_floats of x, one string a value."""
     return [row.tobytes().replace(b"\0", b"").decode("ascii")
-            for row in _text.json_floats(x, x if col is None else col)]
+            for row in _text.json_floats(x)]
 
 
 @pytest.fixture
@@ -88,14 +88,6 @@ def test_writes_json_of_1e5_doubles(fallbacks):
     # with this seed 8,395 of the 100,154 go to json: 3,811 outside
     # [1e-6, 1e13), 4,494 of 12 digits or fewer and 90 others
     assert len(fallbacks) < 0.1 * len(x)
-
-
-def test_entries_that_are_not_floats_go_to_json(fallbacks):
-    col = [2, True, None, 1.5e300, 0.25]
-    x = np.array([math.nan, math.nan, math.nan, 1.5e300, 0.25])
-    assert texts(x, col) == ["2", "true", "null", "1.5e+300", "0.25"]
-    with pytest.raises(TypeError):
-        _text.json_floats(np.array([math.nan]), [1j])
 
 
 REPORT_GRID = GridSpec((0.5, 0.9), 4)
