@@ -8,15 +8,15 @@ and the univalency radius out to |z| = 1 - 1e-6: the largest circle on
 which |Gp/Hp| stays below 1, whose circle maximum is nondecreasing in r
 while Hp has no zeros (maximum modulus principle).  The search runs in
 three phases: it brackets the radius on ring tops, rings of at least 1440
-nodes and eight a period of z^n; it solves once for the point where the
-circle touches |Gp/Hp| = 1, by 2-D Newton on log |Gp/Hp| from every peak
-of the bracket's failing ring, and returns a radius 2^-36 below it whose
-circle passes (its ring's peaks raised by Newton in angle to the circle
-maximum) and tol outside which one point reaches 1; failing that, it
-bisects to tol on such circles.  Scan rows and radius rings are built and
-evaluated by ``convolution._ring_moduli``, and the Newton jets and point
-values come from ``convolution`` too; J and the point values read a term
-table.
+nodes and eight a period of z^n, by bisection in log(1 - r); it solves
+once for the point where the circle touches |Gp/Hp| = 1, by 2-D Newton on
+log |Gp/Hp| from every peak of the bracket's failing ring, and returns a
+radius 2^-36 below it whose circle passes (its ring's peaks raised by
+Newton in angle to the circle maximum) and tol outside which one point
+reaches 1; failing that, it bisects to tol on such circles.  Scan rows and
+radius rings are built and evaluated by ``convolution._ring_moduli``, and
+the Newton jets and point values come from ``convolution`` too; J and the
+point values read a term table.
 """
 import cmath
 import json
@@ -453,10 +453,9 @@ def J_boundary(theta, t) -> JBoundaryResult:
 # from the unit circle's singular points, far outside the 1e-9 guard
 OUTER_RADIUS = 1 - 1e-6
 
-# the bracket aims each regula falsi probe at a ring top of 1.1, and hands
-# over to the tangency solve once its failing end's ring tops out at 1.25
-# or less
-_AIM, _NEAR = math.log(1.1), math.log(1.25)
+# the bracket hands over to the tangency solve once its failing end's ring
+# tops out at 1.25 or less
+_NEAR = 1.25
 
 # Newton steps of either solve, at most.  A tangency has converged once its
 # steps in r and t are at most _STEP_TOL, which leaves about _STEP_TOL^2
@@ -579,34 +578,22 @@ def _tangency(spec, hi, mod):
     return min(found, default=None)
 
 
-def _log_or_nan(m):
-    # log M(r) for the regula falsi; nan where it is not finite
-    return math.log(m) if 0 < m < math.inf else math.nan
-
-
 def _bracket(spec, mod, tol):
     """(lo, hi, mod): a bracket of the radius narrowed on ring tops alone
     from (0, OUTER_RADIUS), whose ring moduli are ``mod``.  hi's ring tops
     out at 1 or more, lo's below 1 (0 is never probed), and ``mod`` is hi's
-    ring.  Each probe is regula falsi on the log of the ring top aimed at a
-    top of 1.1, kept tol/2 inside the bracket, or a bisection where that
-    log is not finite at an end and after two probes in a row replaced the
-    same end.  It stops once hi's ring tops out at 1.25 or less, or hi - lo
-    <= tol."""
-    lo, y_lo, hi, y_hi = 0.0, math.nan, OUTER_RADIUS, _log_or_nan(np.max(mod))
-    side = twice = None  # side: the last probe's ring passed
-    while hi - lo > tol and not y_hi <= _NEAR:
-        r = (lo + hi) / 2
-        if math.isfinite(y_lo + y_hi) and not twice:
-            falsi = hi - (y_hi - _AIM) * (hi - lo) / (y_hi - y_lo)
-            r = min(max(falsi, lo + tol / 2), hi - tol / 2)
+    ring.  Each probe bisects log(1 - r), the scale of every feature of
+    omega near |z| = 1, at r = 1 - sqrt((1 - lo)(1 - hi)), strictly inside
+    the bracket.  It stops once hi's ring tops out at 1.25 or less, or hi -
+    lo <= tol."""
+    lo, hi = 0.0, OUTER_RADIUS
+    while hi - lo > tol and not np.max(mod) <= _NEAR:
+        r = 1 - math.sqrt((1 - lo) * (1 - hi))
         ring = _ring(spec, r)
-        top = np.max(ring)
-        twice, side = side == (top < 1), top < 1
-        if top < 1:
-            lo, y_lo = r, _log_or_nan(top)
+        if np.max(ring) < 1:
+            lo = r
         else:
-            hi, y_hi, mod = r, _log_or_nan(top), ring
+            hi, mod = r, ring
     return lo, hi, mod
 
 
@@ -625,21 +612,21 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     peaks (``_circle_max``), a value at a point of the circle.
 
     The search runs in three phases.
-    1. Bracket: [lo, hi] is narrowed on ring tops alone (``_bracket``)
-       until hi's ring tops out at 1.25 or less, or hi - lo <= tol.
+    1. Bracket: [lo, hi] is narrowed on ring tops alone by bisection in
+       log(1 - r) (``_bracket``) until hi's ring tops out at 1.25 or less,
+       or hi - lo <= tol.
     2. Tangency, once, if hi - lo > tol: from every peak of hi's ring it
        solves for (r*, t*), where |z| = r* touches |Gp/Hp| = 1
        (``_tangency``).  As |Gp/Hp| = 1 at r* e^{it*}, the radius is at
        most r*, and it is r* at the winning peak.  The candidate r = r* -
-       _MARGIN (2^-36, or tol/4 if that is less) is returned if
-       |Gp/Hp| >= 1 at the one point (r + tol) e^{it*}, so that the circle
-       r + tol fails, and r's own circle passes.  A candidate whose circle
-       fails becomes hi.
+       _MARGIN (2^-36) is returned if |Gp/Hp| >= 1 at the one point
+       (r + tol) e^{it*}, so that the circle r + tol fails, and r's own
+       circle passes.  A candidate whose circle fails becomes hi.
     3. Fallback, bisection to tol on circles: it starts from lo if lo < hi
        and lo's circle passes, else from 0.  lo passes (or is 0), hi
        fails, and lo is returned.
     So r always passes and r + tol always fails.  The benchmark's four Fn
-    radii take 2-6 rings and 5-7 ``_log_jets`` calls, and no fallback.
+    radii take 2-8 rings and 5-7 ``_log_jets`` calls, and no fallback.
     """
     instance(spec, ConvolutionSpec, "spec")
     tol = real(tol, "tol")
@@ -651,7 +638,7 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     lo, hi, mod = _bracket(spec, mod, tol)
     found = _tangency(spec, hi, mod) if hi - lo > tol else None
     if found is not None:
-        r, t = found[0] - min(tol / 4, _MARGIN), found[1]
+        r, t = found[0] - _MARGIN, found[1]
         z = (r + tol) * cmath.exp(1j * t)
         if r + tol >= hi or _moduli(spec, np.array([z]))[0] >= 1:
             if _circle_max(spec, r) < 1:

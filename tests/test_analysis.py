@@ -940,14 +940,20 @@ class TestRadius:
 
     @pytest.mark.parametrize("a,n,theta", [
         (-0.5, 512, 2.0), (0.0, 512, 2.0), (-0.5, 256, 2.0),
-        (-0.99, 3, math.pi)],
-        ids=["n512-a-0.5", "n512-a0", "n256-a-0.5", "n3-pi-a-0.99"])
+        (-0.99, 3, math.pi), (-0.9919908894416408, 2, -0.6221618858265954)],
+        ids=["n512-a-0.5", "n512-a0", "n256-a-0.5", "n3-pi-a-0.99",
+             "n2-a-0.992"])
     def test_large_n_radius_against_dense_ring(self, a, n, theta):
         # three clipped Newton steps a peak stopped short of the first three
         # circles' peaks, and returned 0.9993273388, 0.9993240230 and
         # 0.9986631273, on whose circles the oracle reads up to 1.0000787;
-        # the last, near a -> -1, is ROADMAP item 2's first reproducer, whose
-        # radius circle reads 0.99999998 and tol outside it 1.001664
+        # the next, near a -> -1, is ROADMAP item 2's first reproducer, whose
+        # radius circle reads 0.99999998 and tol outside it 1.001664.  The
+        # last is of the same kind and ends in the fallback bisection: after
+        # a regula falsi bracket it returned 0.9973543114, whose circle
+        # reads 1.0914; after the bisection in log(1 - r), whose tangency
+        # candidate fails its circle, it bisects from 0 to 0.9969886212,
+        # which reads 0.99986, and 1.00008 tol outside it
         spec = ConvolutionSpec(a, make_mapping("Fn", n=n, theta=theta))
         tol = 1e-6
         r = univalency_radius(spec, tol)

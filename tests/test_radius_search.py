@@ -84,8 +84,8 @@ def check_search(fake, r, events, top=None, rings=2 * BISECTION_CIRCLES):
     # is OUTER and fails.  The bracket keeps a failure at hi and, below it,
     # the radii whose ring or circle passed, lo the last (0 is never
     # probed).  A ring with no refinement after it is a probe on ring tops:
-    # it lies strictly inside the bracket, and after two such probes in a
-    # row replaced the same end, the next one bisects.  A refined circle
+    # it lies strictly inside the bracket, at the midpoint of log(1 - r),
+    # 1 - sqrt((1 - lo)(1 - hi)).  A refined circle
     # that fails becomes hi and ends the probes on ring tops and the
     # tangency steps; one at or below lo also drops every radius whose
     # circle has not passed.  The tangency step gets the bracket's hi, with
@@ -100,15 +100,13 @@ def check_search(fake, r, events, top=None, rings=2 * BISECTION_CIRCLES):
 
     assert events[:2] == [("ring", OUTER), ("refine", OUTER)]
     assert not passes(OUTER)
-    los, hi, sides = [(0.0, True)], OUTER, []
+    los, hi = [(0.0, True)], OUTER
     tangency = distrust = False
     for i, (kind, p) in enumerate(events[2:], 2):
         lo = los[-1][0]
         if kind == "ring" and events[i + 1:i + 2] != [("refine", p)]:
             assert lo < p < hi and not distrust
-            if sides[-2:] in ([True, True], [False, False]):
-                assert p == (lo + hi) / 2
-            sides.append(top(p) < 1)
+            assert p == 1 - math.sqrt((1 - lo) * (1 - hi))
             if top(p) < 1:
                 los.append((p, False))
             else:
@@ -248,11 +246,12 @@ def test_failing_returned_circle_reopens_the_bracket(monkeypatch, top):
 
 def test_missed_band_does_not_creep(monkeypatch):
     # the ring tops read 0.85 on a band above the crossing, far below the
-    # circle's maximum.  The old search's regula falsi clipped its probes
-    # to tol/2 from hi seven times in a row there, and took 28 rings.  Two
-    # ring-top probes in a row on the same side now bisect, and with the
-    # true tangency the search takes a handful of rings; with no tangency it
-    # bisects on refined circles, no more than a plain bisection
+    # circle's maximum.  A regula falsi on ring tops clipped its probes to
+    # tol/2 from hi seven times in a row there, and took 28 rings.  Each
+    # probe now halves the bracket in log(1 - r) whatever the tops read, so
+    # nothing creeps: with the true tangency the search takes a handful of
+    # rings; with no tangency it bisects on refined circles, no more than a
+    # plain bisection
     fake = power(0.7, 5)
     r, events = search(monkeypatch, fake, "true", missed_band)
     check_search(fake, r, events, missed_band)
@@ -289,13 +288,17 @@ def test_search_on_random_power_laws(r0, k, tangency):
 
 
 @pytest.mark.parametrize("a,n,theta,rings,jets", [
-    (0.5, 2, math.pi, 2, 5), (-0.2, 15, math.pi, 6, 7),
-    (0.7, 10, -math.pi / 2, 6, 6), (0.0, 40, math.pi, 6, 6)],
-    ids=["n2-pi", "n15-pi", "n10-minus-half-pi", "n40-pi"])
+    (0.5, 2, math.pi, 2, 5), (-0.2, 15, math.pi, 8, 7),
+    (0.7, 10, -math.pi / 2, 4, 6), (0.0, 40, math.pi, 8, 6),
+    (-0.5, 256, 2.0, 3, 9)],
+    ids=["n2-pi", "n15-pi", "n10-minus-half-pi", "n40-pi", "n256-a-0.5"])
 def test_ring_and_jet_counts_on_benchmark_ops(monkeypatch, a, n, theta,
                                               rings, jets):
     # the benchmark's Fn radius ops: the search before the tangency solve
-    # took 7/10/8/10 rings and 6/12/9/15 jet calls on them
+    # took 7/10/8/10 rings and 6/12/9/15 jet calls on them, and a regula
+    # falsi bracket 2/6/6/6 rings.  At large n log M(r) is convex near 1,
+    # where that bracket was mostly forced bisections: it took 10 rings on
+    # n256-a-0.5
     calls = []
 
     def counting(f):
@@ -319,7 +322,7 @@ def test_ring_and_jet_counts_on_benchmark_ops(monkeypatch, a, n, theta,
 def test_circle_count_on_dense_ring_cases(monkeypatch, a, n, theta):
     # the cases of TestRadius::test_radius_against_dense_ring; a bisection
     # spends BISECTION_CIRCLES on each, and the search before the tangency
-    # solve took 7-10
+    # solve took 7-10; n40-pi takes exactly 8
     ring = analysis._ring
     probes = []
 
