@@ -98,9 +98,20 @@ def conv_derivatives(spec: ConvolutionSpec, z):
 
 def _derivatives(a, t, z, g=None):
     """(Hp, Gp) at the points z for the right factor's table t, unguarded;
-    g is None but for rings on z's last axis (see ``TermTable.odd_rests``)."""
-    rh, rg = t.odd_rests(z, g)  # D_h = 2 + z^2 rh, D_g = 2(s-1) + z^2 rg
-    return _left(a, t.primes(z), (2 + z * z * rh, 2 * (t.s - 1) + z * z * rg))
+    g is None but for rings on z's last axis (see ``TermTable.odd_rests``).
+    The odd quotient D is even, so on rings with even K, whose node k + K/2
+    must be exactly -node k, D is taken on the first K/2 nodes and
+    broadcast over both halves of h' and g', which are not even."""
+    half = g is not None and np.shape(z)[-1] % 2 == 0
+    y = z[..., :np.shape(z)[-1] // 2] if half else z
+    rh, rg = t.odd_rests(y, g, half)  # D_h = 2 + y^2 rh, D_g = 2(s-1) + y^2 rg
+    D = 2 + y * y * rh, 2 * (t.s - 1) + y * y * rg
+    if not half:
+        return _left(a, t.primes(z), D)
+    halves = *np.shape(y)[:-1], 2, np.shape(y)[-1]
+    H, G = _left(a, [p.reshape(halves) for p in t.primes(z)],
+                 [d[..., None, :] for d in D])
+    return H.reshape(np.shape(z)), G.reshape(np.shape(z))
 
 
 def _ratio(Hp, Gp):
@@ -125,18 +136,25 @@ _RING_BLOCK = 2 ** 13
 @lru_cache(maxsize=8)
 def _unit_ring(K):
     # e^{2 pi i k/K}, k < K, built once a K: its exp took about 30 of the
-    # 230 us of a 1440-node ring, and a radius search asks for 7-11 rings
+    # 230 us of a 1440-node ring, and a radius search asks for 2-8 rings.
+    # For even K the second half is the first negated, exactly, so that
+    # ``_derivatives`` may take the odd quotient on the first half; they
+    # differ from their own exp by the rounding of its angle, under 2e-15
     ring = np.exp(2j * math.pi * np.arange(K) / K)
+    if K % 2 == 0:
+        ring[K // 2:] = -ring[:K // 2]
     ring.flags.writeable = False
     return ring
 
 
 def _ring_moduli(spec, radii, K):
-    """(z, |Gp/Hp|) on the rings z[i, k] = radii[i] e^{2 pi i k/K}, k < K,
-    inf at a critical node (``_ratio``), unguarded.  The rings go to
-    ``_derivatives`` in blocks of whole rings, at most _RING_BLOCK nodes a
-    call (a longer ring goes alone), and Fn's orbit takes n/gcd(n, K) logs
-    per node, half as many for even K (``TermTable.odd_rests``)."""
+    """(z, |Gp/Hp|) on the rings z[i, k] = radii[i] ``_unit_ring(K)``[k],
+    the nodes e^{2 pi i k/K}, k < K, with node k + K/2 exactly -node k for
+    even K; inf at a critical node (``_ratio``), unguarded.  The rings go
+    to ``_derivatives`` in blocks of whole rings, at most _RING_BLOCK nodes
+    a call (a longer ring goes alone), and Fn's orbit takes n/gcd(n, K)
+    logs per node.  For even K the whole odd quotient, its logs included,
+    is taken on half of each ring (``TermTable.odd_rests``)."""
     t = term_table(spec.right)
     z = np.multiply.outer(radii, _unit_ring(K))
     rows, g = max(1, _RING_BLOCK // K), math.gcd(t.n, K)

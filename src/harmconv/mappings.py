@@ -22,12 +22,13 @@ for Fn, 1 - d is the root nearest 1 and k = c d^2 stays bounded as theta
 -> +-pi, where c grows like 1/d^2; at theta = pi, d = 0.  Fn's lone roots
 are r = 1 plus one orbit, (1-d) zeta^j with zeta = e^{-2 pi i/n}, j = 1..n-1,
 the turns of the pair's root; on a ring of K equispaced nodes the orbit's
-logs fall into n/gcd(n, K) rotation classes, and for even K each lone log
-is taken on half the nodes, as its rest E(r z) is even in z
-(``TermTable.odd_rests``).  The singular points, 1 and the reciprocals of
-the roots, lie on the unit circle.  The evaluators accept scalars or numpy
-arrays of points in the open unit disk and refuse points within 1e-9 of a
-singularity.
+logs fall into n/gcd(n, K) rotation classes.  The odd quotient (h(z) -
+h(-z))/z is even in z, and on a ring with even K node k + K/2 is exactly
+-node k, so there the whole quotient, the pair and every lone log, is
+taken on the first K/2 nodes (``TermTable.odd_rests``).  The singular
+points, 1 and the reciprocals of the roots, lie on the unit circle.  The
+evaluators accept scalars or numpy arrays of points in the open unit disk
+and refuse points within 1e-9 of a singularity.
 """
 import cmath
 import math
@@ -128,7 +129,7 @@ class TermTable(NamedTuple):
 
         return jet(1 + b * w, b * w1, b * w2), jet(w + b, w1, w2)
 
-    def odd_rests(self, z, g=None):
+    def odd_rests(self, z, g=None, half=False):
         """(R_h, R_g) with (h(z) - h(-z))/z = 2 + z^2 R_h and (g(z) -
         g(-z))/z = 2(s-1) + z^2 R_g, each summed from its own terms' rests:
         2 alpha/(1-z^2) for w, -2cr^3 E(rz) per lone log and 2k/m (d E(-dz/m)
@@ -138,30 +139,30 @@ class TermTable(NamedTuple):
         The lone logs are r = 1 and the orbit r_j = (1-d) zeta^j, j = 1..n-1,
         zeta = e^{-2 pi i/n}; j = 0 is the pair's root, weight 0, but at d = 0
         it is 1 and takes the r = 1 log.  g = None takes any z.  Otherwise g
-        divides n and K = z.shape[-1], and each row on z's last axis must be
-        a ring z_0 e^{2 pi i k/K}, k < K, with its own z_0: nothing checks
-        it.  ``convolution._ring_moduli`` builds its rings itself, with z_0
-        = r, so its rows meet it; a stack of rotated rings goes to
-        ``convolution._derivatives`` with its g.  The terms j = c +
-        t n/g, t < g, of a class c < n/g share one E: r_j z_k = r_c z_(k -
-        tK/g), so term j reads its class's E rotated by tK/g nodes within the
-        ring.  With each ring as g rows of K/g, that is one g x g circulant of
-        the class's weights, broadcast over the rings, and the orbit costs
-        n/g logs per node, not n - 1.  E is even and node k + K/2 of a ring
-        with even K is -z_k, so there the lone logs are summed on the first
-        K/2 nodes and repeated: half a log per node for r = 1 and for each
-        class.  Taken mod K/2, term t's turn of tK/g nodes is a whole number
-        of rows when the half ring is h rows of K/(2h), h = g/2 for even g
-        (terms t and t + g/2 then share a turn, and their weights add) and
-        h = g for odd g (where the turns are 2t mod g).  The pair stays on
-        every node: its 2k/m amplifies a one-ulp mismatch between z_(k +
-        K/2) and -z_k.  The classes go through one ``_atanh_rest`` as
-        classes x points, in blocks of at most _ORBIT_BLOCK elements.
+        divides n and the rings' size K, and each row on z's last axis must
+        be a ring z_0 e^{2 pi i k/K}, k < K, with its own z_0, or, if half,
+        the first K/2 nodes of one with even K whose node k + K/2 is exactly
+        -node k: nothing checks it.  ``convolution._ring_moduli`` builds its
+        rings itself, with z_0 = r, so its rows meet it; a stack of rotated
+        rings goes to ``convolution._derivatives`` with its g, which passes
+        half rings for even K.  The terms j = c + t n/g, t < g, of a class c
+        < n/g share one E: r_j z_k = r_c z_(k - tK/g), so term j reads its
+        class's E rotated by tK/g nodes within the ring.  With each ring as
+        g rows of K/g, that is one g x g circulant of the class's weights,
+        broadcast over the rings, and the orbit costs n/g logs per node, not
+        n - 1.  Every term's rest is even in z, so a half ring gives the
+        whole ring's: half a log per node for the pair, r = 1 and each class.
+        Taken mod K/2, term t's turn of tK/g nodes is a whole number of rows
+        when the half ring is h rows of K/(2h), h = g/2 for even g (terms t
+        and t + g/2 then share a turn, and their weights add) and h = g for
+        odd g (where the turns are 2t mod g).  The classes go through one
+        ``_atanh_rest`` as classes x points, in blocks of at most
+        _ORBIT_BLOCK elements.
 
         None of the orbit's data depends on z (``_orbit``): the table holds
         it for any points, and ``_ring_orbit`` builds it for rings once per
-        table, g and ring parity, in a bounded cache, so a call pays only for
-        its points."""
+        table, g and half, in a bounded cache, so a call pays only for its
+        points."""
         z2 = z * z
         q = 1 / (1 - z2)
         m = 1 - (1 - self.d) * z2
@@ -169,22 +170,18 @@ class TermTable(NamedTuple):
         e = self.d * _atanh_rest(-self.d * z / m) / (m * m) if self.d else 0
         logs = 2 * self.k / m * (e - q)
         if self.n > 1:  # the lone logs, at r = 1 and on the orbit
-            half = g is not None and np.shape(z)[-1] % 2 == 0
             circulants, roots = (self.orbit if g is None
                                  else _ring_orbit(self.spec, g, half))
             h = circulants.shape[-1]  # the rows of a ring, or of a half ring
-            y, lone = (z[..., :np.shape(z)[-1] // 2], 0) if half else (z, logs)
             if self.d:  # else 1 - d = 1: the r = 1 log is the orbit's j = 0
-                lone = lone - 2 * self.c[0] * _atanh_rest(y)
+                logs = logs - 2 * self.c[0] * _atanh_rest(z)
             # [c, ..., p, s], size 1 on z's leading axes
             circulants = circulants.reshape(-1, *[1] * (np.ndim(z) - 1), h, h)
-            size = max(1, _ORBIT_BLOCK // max(1, np.size(y)))
+            size = max(1, _ORBIT_BLOCK // max(1, np.size(z)))
             for i in range(0, len(roots), size):
-                rest = _atanh_rest(np.multiply.outer(roots[i:i + size], y))
-                rows = rest.reshape(len(rest), *np.shape(y)[:-1], h, -1)
-                lone = lone - (circulants[i:i + size] @ rows).sum(0).reshape(np.shape(y))
-            logs = (logs.reshape(*np.shape(y)[:-1], 2, -1) + lone[..., None, :]
-                    ).reshape(np.shape(z)) if half else lone
+                rest = _atanh_rest(np.multiply.outer(roots[i:i + size], z))
+                rows = rest.reshape(len(rest), *np.shape(z)[:-1], h, -1)
+                logs = logs - (circulants[i:i + size] @ rows).sum(0).reshape(np.shape(z))
         return 2 * self.alpha * q + logs, 2 * (self.s - self.alpha) * q - logs
 
     def odd_integrals(self, z):
@@ -265,7 +262,10 @@ def _atanh_rest(y):
     # that series below |y| = 0.1, where the subtraction would cancel;
     # above it atanh(y) = log((1+y)/(1-y))/2, the log by _log: the
     # quotient's rounding, about eps absolute in its log, leaves E within
-    # about 6 eps/|y|^3 relative
+    # about 6 eps/|y|^3 relative.  E is even, and y is first folded onto
+    # Re y >= 0, so E(-y) is E(y) bit for bit: a half ring's odd quotient
+    # then has the bits the point route gives at either node of a pair
+    y = y * np.copysign(1.0, np.real(y))
     small = np.abs(y) < 0.1
     x = np.where(small, 0.5, y)  # placeholder: the series replaces it
     out = np.asarray((_log((1 + x) / (1 - x)) / (2 * x) - 1) / (x * x))

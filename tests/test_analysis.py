@@ -21,6 +21,15 @@ from harmconv.mappings import term_table
 RNG = np.random.default_rng(41)
 
 
+def antipodal_ring(K):
+    """e^{2 pi i k/K}, k < K, with node k + K/2 exactly -node k for even K:
+    the library's ring nodes, built here independently of it."""
+    ring = np.exp(2j * math.pi * np.arange(K) / K)
+    if K % 2 == 0:
+        ring[K // 2:] = -ring[:K // 2]
+    return ring
+
+
 def crit_poly(a):
     """z^2 + ((1+3a)/2) z + (1+a)/2, low-to-high coefficients."""
     return Poly([(1 + a) / 2, (1 + 3 * a) / 2, 1.0])
@@ -229,7 +238,7 @@ class TestScan:
         # against conv_derivatives
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=math.pi))
         grid = GridSpec((0.9, 0.95, 0.99), 360)
-        ring = np.exp(2j * math.pi * np.arange(360) / 360)
+        ring = antipodal_ring(360)
         want = []
         for r in grid.radii:
             mod = convolution._ring_moduli(spec, (r,), 360)[1][0]
@@ -268,7 +277,7 @@ class TestScan:
     def assert_row_by_row_bits(spec, grid):
         # the report against one _ring_moduli call per row, bit for bit
         K = grid.angles_count
-        z = np.multiply.outer(grid.radii, np.exp(2j * math.pi * np.arange(K) / K))
+        z = np.multiply.outer(grid.radii, antipodal_ring(K))
         M = np.concatenate([convolution._ring_moduli(spec, (r,), K)[1][0]
                             for r in grid.radii])
         z = z.ravel()
@@ -311,6 +320,29 @@ class TestScan:
         assert seen == shapes
         self.assert_row_by_row_bits(spec, grid)
 
+    @pytest.mark.parametrize("right", [
+        make_mapping("F1", theta=math.pi - 1e-6), make_mapping("F0")],
+        ids=["F1-near-pi", "F0"])
+    def test_scan_moduli_are_conv_dilatations(self, right, monkeypatch):
+        # with no orbit the scan's half-ring route has the point route's bits
+        # at every node (test_no_orbit_matches_bit_for_bit, end to end).
+        # conv_dilatation takes one grid row a call: on 16,384 nodes and more
+        # numpy reuses temporaries in place and the last bits may move
+        spec, grid, seen = ConvolutionSpec(0.5, right), default_grid(), []
+
+        def spy(*args):
+            seen.append(convolution._ring_moduli(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(analysis, "_ring_moduli", spy)
+        rep = scan_dilatation(spec, grid)
+        (z, M), = seen
+        want = np.array([np.abs(conv_dilatation(spec, row)) for row in z])
+        assert M.shape == (len(grid.radii), grid.angles_count)
+        assert M.tobytes() == want.tobytes()
+        k = np.unravel_index(np.argmax(want), want.shape)
+        assert rep.max_modulus == want[k] and rep.argmax == z[k]
+
     def test_ring_moduli_builds_the_scan_rings(self, monkeypatch):
         # the nodes are the scan formula's, bit for bit, and a ring longer
         # than the 8,192-node block goes to the kernel alone
@@ -324,7 +356,7 @@ class TestScan:
         spec = ConvolutionSpec(0.5, make_mapping("Fn", n=4, theta=math.pi / 4))
         radii, K = (0.5, 0.9, 0.99), 20000
         z, M = convolution._ring_moduli(spec, radii, K)
-        want = np.multiply.outer(radii, np.exp(2j * math.pi * np.arange(K) / K))
+        want = np.multiply.outer(radii, antipodal_ring(K))
         assert z.tobytes() == want.tobytes()
         assert seen == [((1, K), 4)] * 3 and M.shape == (3, K)
 
@@ -622,7 +654,7 @@ class TestRingRoute:
     @staticmethod
     def stack(radii, K, starts=0.0):
         """The rings radii[i] e^{i starts[i]} e^{2 pi i k/K}, k < K, as rows."""
-        ring = np.exp(2j * math.pi * np.arange(K) / K)
+        ring = antipodal_ring(K)
         return np.multiply.outer(np.multiply(radii, np.exp(1j * np.asarray(starts))),
                                  ring)
 
@@ -699,6 +731,32 @@ class TestRingRoute:
         sizes = self.atanh_sizes(monkeypatch, convolution._ring_moduli, spec,
                                  (0.9,), 720)
         assert sum(sizes) == 360
+
+    @pytest.mark.parametrize("right, total", [
+        (make_mapping("F1", theta=math.pi / 6), 360),
+        (make_mapping("Fn", n=3, theta=math.pi / 4), 1080),
+        (make_mapping("Fn", n=10, theta=-math.pi / 2), 1080)],
+        ids=["F1", "n3", "n10"])
+    def test_even_ring_takes_every_atanh_row_on_half(self, right, total,
+                                                      monkeypatch):
+        # on a 720-node ring the pair, the r = 1 log and the one rotation
+        # class each take E on the first 360 nodes only
+        sizes = self.atanh_sizes(monkeypatch, convolution._ring_moduli,
+                                 ConvolutionSpec(0.5, right), (0.9,), 720)
+        assert set(sizes) == {360} and sum(sizes) == total
+
+    @pytest.mark.parametrize("K", [720, 1440, 8192, 20000, 97, 45])
+    def test_unit_ring_is_antipodal(self, K):
+        # an even ring's second half is its first negated, exactly, and its
+        # first half is the exp formula's; an odd ring is the formula's
+        ring = convolution._unit_ring(K)
+        want = np.exp(2j * math.pi * np.arange(K) / K)
+        if K % 2:
+            assert ring.tobytes() == want.tobytes()
+            return
+        assert ring[K // 2:].tobytes() == (-ring[:K // 2]).tobytes()
+        assert ring[:K // 2].tobytes() == want[:K // 2].tobytes()
+        assert np.max(np.abs(ring - want)) <= 2e-15
 
     def test_odd_ring_takes_whole_atanh_rows(self, monkeypatch):
         # node k + K/2 exists only for even K: n = 15 on a 45-node ring keeps
@@ -872,7 +930,7 @@ class TestRadius:
 
         for name in ("_ring_moduli", "_log_jets"):
             monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
-        ring = np.exp(2j * math.pi * np.arange(1440) / 1440)  # its ring
+        ring = antipodal_ring(1440)  # its ring
         z, mod = analysis._ring_moduli(spec, (0.99,), 1440)
         assert np.array_equal(z, [0.99 * ring])
         top = np.max(mod)

@@ -265,3 +265,17 @@ def test_atanh_rest_of_real_input_is_real(y):
     got = _atanh_rest(y)
     assert not np.iscomplexobj(got)
     assert np.allclose(got, (np.arctanh(y) / y - 1) / y ** 2, rtol=1e-13)
+
+
+def test_atanh_rest_is_even_bit_for_bit():
+    # E is even and y is folded onto Re y >= 0 first, so E(-y) has the bits
+    # of E(y): random points, some below |y| = 0.1 where the series runs,
+    # and signed zeros on both axes
+    rng = np.random.default_rng(30)
+    mod = np.concatenate([rng.uniform(0, 0.1, 2000), rng.uniform(0, 1, 8000)])
+    y = mod * np.exp(2j * math.pi * rng.uniform(size=mod.size))
+    zeros = [complex(x, b) for x in (0.0, -0.0) for b in (0.7, -0.7, 0.05, -0.05)]
+    zeros += [complex(a, x) for x in (0.0, -0.0) for a in (0.7, -0.7, 0.05, -0.05)]
+    for pts in (y, np.array(zeros)):
+        assert (np.abs(pts) < 0.1).any() and not (np.abs(pts) < 0.1).all()
+        assert _atanh_rest(-pts).tobytes() == _atanh_rest(pts).tobytes()
