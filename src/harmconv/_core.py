@@ -1,5 +1,5 @@
-"""Small shared helpers: scalar/array plumbing, parameter checks and angle
-normalization."""
+"""Small shared helpers: scalar/array plumbing, the block rule of every
+points x terms kernel, parameter checks and angle normalization."""
 import math
 import numbers
 
@@ -12,6 +12,13 @@ SINGULARITY_GUARD = 1e-9
 # a convolution derivative Hp this small counts as a critical point
 CRITICAL_TOL = 1e-14
 MAX_RADIUS = 0.999  # the outermost radius of scan grids, figures, conv_value
+RADIUS_SLACK = 1e-12  # r e^{it} at r = MAX_RADIUS can round an ulp past it
+# the most elements of one kernel call in ``blocks``.  From 256 KiB (16,384
+# complex elements) up numpy reuses temporaries in place, and c * x for a
+# complex scalar c then runs as x * c, which rounds the last bit otherwise:
+# under the bound a block of rings gives the ring-by-ring bits.  8,192-node
+# ring blocks ran as fast as 15,840-node ones, at a third of the peak.
+_BLOCK = 2 ** 13
 
 
 def prepare(z, name="points"):
@@ -20,6 +27,15 @@ def prepare(z, name="points"):
     if arr.dtype.kind not in "iufc":
         raise ParameterError(f"{name} must be numbers, got dtype {arr.dtype}")
     return arr.astype(complex, copy=False), arr.ndim == 0
+
+
+def blocks(f, z, per_row):
+    """f applied to z's rows (its first axis), per_row elements a row, in
+    blocks of whole rows of at most _BLOCK elements (a longer row goes
+    alone), and the results concatenated.  An empty z takes one call."""
+    rows = max(1, _BLOCK // per_row)
+    return np.concatenate([f(z[i:i + rows])
+                           for i in range(0, max(1, len(z)), rows)])
 
 
 def coefficients(c):

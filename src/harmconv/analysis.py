@@ -27,8 +27,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._core import (MAX_RADIUS, check_a, coefficients, finish, instance,
-                    positive_int, prepare, real)
+from ._core import (MAX_RADIUS, RADIUS_SLACK, check_a, coefficients, finish,
+                    instance, positive_int, prepare, real)
 from ._text import json_floats
 from .convolution import (ConvolutionSpec, _log_jets, _moduli, _odd_guard,
                           _ring_moduli)
@@ -136,7 +136,7 @@ class GridSpec:
         object.__setattr__(self, "radii", r)
         if len(r) == 0:
             raise ParameterError("at least one radius required")
-        if not all(0 < x <= MAX_RADIUS + 1e-12 for x in r):  # NaN fails too
+        if not all(0 < x <= MAX_RADIUS + RADIUS_SLACK for x in r):  # NaN fails too
             raise ParameterError(f"radii must lie in (0, {MAX_RADIUS}]")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ParameterError("radii must be strictly increasing")

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._core import (CRITICAL_TOL, MAX_RADIUS, check_a, finish, instance,
-                    prepare)
+from ._core import (CRITICAL_TOL, MAX_RADIUS, RADIUS_SLACK, blocks, check_a,
+                    finish, instance, prepare)
 from .errors import CriticalPointError, DomainError, ParameterError
 from .mappings import MappingSpec, guard, make_mapping, term_table
 
@@ -61,9 +61,14 @@ def _left(a, f, D):
     return (1 + a) / 2 * fh + (1 - a) / 4 * dh, (1 + a) / 2 * fg - (1 - a) / 4 * dg
 
 
-def _values(a, t, z):
-    """(H, G) at the points z, of any shape, for the right factor's table t."""
-    return _left(a, t.parts(z), t.odd_integrals(z))
+def _image(a, t, z):
+    """H + conj(G) at the 1-d points z for the right factor's table t,
+    unchecked, for ``conv_value`` and render: ``_core.blocks`` of len(t.r)
+    + 2 elements a point, the rows of ``TermTable.odd_integrals``."""
+    def image(y):
+        H, G = _left(a, t.parts(y), t.odd_integrals(y))
+        return H + np.conj(G)
+    return blocks(image, z, len(t.r) + 2)
 
 
 def _odd_guard(t, arr):
@@ -78,7 +83,7 @@ def conv_parts_f1(a, theta, z):
     t = term_table(make_mapping("F1", theta=theta))
     arr, scalar = prepare(z)
     _odd_guard(t, arr)
-    H, G = _values(a, t, arr)
+    H, G = _left(a, t.parts(arr), t.odd_integrals(arr))
     return finish(H, scalar), finish(G, scalar)
 
 
@@ -123,16 +128,6 @@ def _ratio(Hp, Gp):
     return np.divide(Gp, Hp, out=np.full_like(Hp, np.inf), where=~crit)
 
 
-# nodes per ``_derivatives`` call of ``_ring_moduli``, in whole rings (a ring
-# longer than this goes alone).  Bytes: numpy reuses a temporary in place
-# from 256 KiB (16,384 complex nodes) up, and then c * x for a complex scalar
-# c runs as x * c, whose loop rounds the last bit differently; under the
-# bound each block gives the ring-by-ring bits.  Memory: 8,192-node blocks
-# ran as fast as 15,840-node ones and, over one ring a call, added a third
-# of their traced peak (0.6 against 1.7 MiB; a whole-grid call added 5.1 MiB).
-_RING_BLOCK = 2 ** 13
-
-
 @lru_cache(maxsize=8)
 def _unit_ring(K):
     # e^{2 pi i k/K}, k < K, built once a K: its exp took about 30 of the
@@ -151,16 +146,15 @@ def _ring_moduli(spec, radii, K):
     """(z, |Gp/Hp|) on the rings z[i, k] = radii[i] ``_unit_ring(K)``[k],
     the nodes e^{2 pi i k/K}, k < K, with node k + K/2 exactly -node k for
     even K; inf at a critical node (``_ratio``), unguarded.  The rings go
-    to ``_derivatives`` in blocks of whole rings, at most _RING_BLOCK nodes
-    a call (a longer ring goes alone), and Fn's orbit takes n/gcd(n, K)
+    to ``_derivatives`` in ``_core.blocks`` of whole rings, K elements a
+    ring, so at most 8,192 nodes a call, and Fn's orbit takes n/gcd(n, K)
     logs per node.  For even K the whole odd quotient, its logs included,
     is taken on half of each ring (``TermTable.odd_rests``)."""
     t = term_table(spec.right)
     z = np.multiply.outer(radii, _unit_ring(K))
-    rows, g = max(1, _RING_BLOCK // K), math.gcd(t.n, K)
-    M = [np.abs(_ratio(*_derivatives(spec.a, t, z[i:i + rows], g)))
-         for i in range(0, len(z), rows)]
-    return z, np.concatenate(M)
+    g = math.gcd(t.n, K)
+    return z, blocks(lambda y: np.abs(_ratio(*_derivatives(spec.a, t, y, g))),
+                     z, K)
 
 
 def _moduli(spec, z):
@@ -215,10 +209,11 @@ def conv_value(spec: ConvolutionSpec, z):
     Closed forms for every right factor: H = (1+a)/2 h_r + (1-a)/4 I_h and
     G = (1+a)/2 g_r - (1-a)/4 I_g, where I_h and I_g integrate the odd
     quotients from 0 to z; a log term integrates to a dilogarithm pair.
+    The points go to ``_image`` flat, a scalar as one, in bounded memory
+    whatever n.  |z| may pass MAX_RADIUS by RADIUS_SLACK, as nodes on it do.
     """
     arr, scalar = prepare(z)
-    if not np.all(np.abs(arr) <= MAX_RADIUS):
+    if not np.all(np.abs(arr) <= MAX_RADIUS + RADIUS_SLACK):  # NaN fails too
         raise DomainError(f"conv_value requires |z| <= {MAX_RADIUS}")
     t = term_table(instance(spec, ConvolutionSpec, "spec").right)
-    H, G = _values(spec.a, t, arr)
-    return finish(H + np.conj(G), scalar)
+    return finish(_image(spec.a, t, arr.ravel()).reshape(arr.shape), scalar)

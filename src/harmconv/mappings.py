@@ -27,8 +27,8 @@ h(-z))/z is even in z, and on a ring with even K node k + K/2 is exactly
 -node k, so there the whole quotient, the pair and every lone log, is
 taken on the first K/2 nodes (``TermTable.odd_rests``).  The singular
 points, 1 and the reciprocals of the roots, lie on the unit circle.  The
-evaluators accept scalars or numpy arrays of points in the open unit disk
-and refuse points within 1e-9 of a singularity.
+evaluators take points of the open disk, scalars or arrays, in blocks of
+bounded memory, and refuse points within 1e-9 of a singularity.
 """
 import cmath
 import math
@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._core import (SINGULARITY_GUARD, check_a, finish, instance,
+from ._core import (SINGULARITY_GUARD, blocks, check_a, finish, instance,
                     norm_theta, positive_int, prepare)
 from .errors import DomainError, ParameterError, SingularityError
 from .special import _li2, _log
@@ -102,8 +102,8 @@ class TermTable(NamedTuple):
         w = z / (1 - z)
         phi = _phi(self.d * w) if self.d else 0.5  # phi(0) at theta = pi
         h = self.alpha * w - self.k * w * w * phi
-        for c, r in zip(self.c, self.r):
-            h = h + c * _log(1 - r * z)
+        if len(self.r):  # the lone logs, as one product over points x roots
+            h = h + _log(1 - np.multiply.outer(z, self.r)) @ self.c
         return h, self.s * w - h
 
     def primes(self, z):
@@ -351,10 +351,12 @@ def guard(arr, sing):
 
 
 def _eval(spec, z, pick):
+    # the points flat, a scalar as one, in ``_core.blocks`` of len(r) + 1
     arr, scalar = prepare(z)
     table = term_table(instance(spec, MappingSpec, "spec"))
     guard(arr, table.sing)
-    return finish(pick(table, arr), scalar)
+    out = blocks(lambda y: pick(table, y), arr.ravel(), len(table.r) + 1)
+    return finish(out.reshape(arr.shape), scalar)
 
 
 def eval_h(spec: MappingSpec, z):

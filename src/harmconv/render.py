@@ -15,7 +15,7 @@ import numpy as np
 
 from ._core import MAX_RADIUS, instance, positive_int, real
 from ._text import WORDS, groups
-from .convolution import ConvolutionSpec, _values
+from .convolution import ConvolutionSpec, _image
 from .errors import ParameterError
 from .mappings import term_table
 
@@ -43,36 +43,23 @@ class FigureSpec:
             raise ParameterError(f"max_radius must lie in (0, {MAX_RADIUS}]")
 
 
-# the most kernel elements, points x (lone-log roots + 2), of one _values
-# call in _curves: blocks of whole curves pay its fixed cost once a block,
-# and a bound on elements rather than points keeps an Fn figure's
-# dilogarithm rows as small as an F1 figure's (one call a figure added
-# 9 MiB of peak RSS)
-_RENDER_BLOCK = 2 ** 13
-
-
 def _curves(spec: ConvolutionSpec, fig: FigureSpec):
     """Sample all webbing curves; returns a list of vertex arrays, each
     an array of complex image points H + conj(G), as ``conv_value`` gives
     them.  FigureSpec keeps every sample within |z| <= max_radius < 1, so
-    the curves go to the unchecked ``_values`` in blocks of whole curves
-    of at most _RENDER_BLOCK kernel elements (a longer curve goes alone),
-    and the values are split back into curves."""
-    S = fig.samples_per_curve
+    one array of closed rings and then rays goes to the unchecked
+    ``convolution._image``, which bounds its memory, in one call."""
+    S, R, K = fig.samples_per_curve, fig.rings, fig.rays
     t = 2 * math.pi * np.arange(S + 1) / S  # rings are closed loops
     s = fig.max_radius * np.arange(S) / (S - 1)
-    params = [fig.max_radius * (j + 1) / fig.rings * np.exp(1j * t)
-              for j in range(fig.rings)]
-    params += [s * np.exp(1j * (2 * math.pi * k / fig.rays))
-               for k in range(fig.rays)]
+    z = np.empty(R * (S + 1) + K * S, complex)
+    np.multiply.outer(fig.max_radius * np.arange(1, R + 1) / R,
+                      np.exp(1j * t), out=z[:R * (S + 1)].reshape(R, S + 1))
+    np.multiply.outer(np.exp(1j * (2 * math.pi * np.arange(K) / K)), s,
+                      out=z[R * (S + 1):].reshape(K, S))
     table = term_table(instance(spec, ConvolutionSpec, "spec").right)
-    per = max(1, _RENDER_BLOCK // ((len(table.r) + 2) * (S + 1)))
-    values = []
-    for i in range(0, len(params), per):
-        H, G = _values(spec.a, table, np.concatenate(params[i:i + per]))
-        values.append(H + np.conj(G))
-    ends = np.cumsum([len(p) for p in params[:-1]])
-    return np.split(np.concatenate(values), ends)
+    v = _image(spec.a, table, z)
+    return [*v[:R * (S + 1)].reshape(R, S + 1), *v[R * (S + 1):].reshape(K, S)]
 
 
 # the most vertices one _points call formats, in whole curves (a longer curve
@@ -152,10 +139,9 @@ def render_webbing(spec: ConvolutionSpec, fig: FigureSpec,
         raise ParameterError(f"stroke_width must be finite and > 0, "
                              f"got {stroke_width!r}")
     curves = _curves(spec, fig)
-    xs = np.concatenate([c.real for c in curves])
-    ys = np.concatenate([-c.imag for c in curves])  # SVG y points down
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    c = np.concatenate(curves)
+    x0, x1 = float(c.real.min()), float(c.real.max())
+    y0, y1 = float(-c.imag.max()), float(-c.imag.min())  # SVG y points down
     margin = 0.05 * max(x1 - x0, y1 - y0)
     vb = (x0 - margin, y0 - margin,
           (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)

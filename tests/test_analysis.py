@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from harmconv import (BoundaryDegenerateError, CohnInapplicableError,
+from harmconv import (BoundaryDegenerateError, CohnInapplicableError, _core,
                       ConvolutionSpec, CriticalPointError, DomainError,
                       GridSpec, J_boundary, ParameterError, Poly,
                       UnivalencyReport, analysis, cohn_reduce,
@@ -262,7 +262,7 @@ class TestScan:
         grid = default_grid()
         K = grid.angles_count
         with monkeypatch.context() as m:  # the whole grid in one call
-            m.setattr(convolution, "_RING_BLOCK", len(grid.radii) * K)
+            m.setattr(_core, "_BLOCK", len(grid.radii) * K)
             z, M = (x.ravel() for x in convolution._ring_moduli(spec, grid.radii, K))
         assert np.isfinite(M).all()
         rep = scan_dilatation(spec, grid)
@@ -1104,10 +1104,18 @@ class TestRadius:
         assert inside == pytest.approx(0.99972, abs=1e-5)
         assert outside == pytest.approx(1.00049, abs=1e-5)
 
+    # the same fault on two more factors, near a = -1 and a = +1: their
+    # radii's circles read 1.4919 and 1.000016 on the dense ring
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the ring and the "
-                       "refined circles miss a peak 1.2391 high")
-    def test_fallback_radius_against_dense_ring(self):
-        spec = self.FALLBACK
+                       "refined circles miss a narrow peak")
+    @pytest.mark.parametrize("spec", [
+        FALLBACK,
+        ConvolutionSpec(-0.998978513786631,
+                        make_mapping("Fn", n=18, theta=2.6369375997970117)),
+        ConvolutionSpec(0.9988800475068609,
+                        make_mapping("Fn", n=31, theta=0.5423663805371146))],
+        ids=["n7", "n18", "n31"])
+    def test_fallback_radius_against_dense_ring(self, spec):
         assert self.ring_and_arcs_max(spec, univalency_radius(spec, 1e-6)) < 1
 
     @pytest.mark.parametrize("a,n,theta", [(-0.98, 3, 1.8), (-0.98, 5, -0.8)],

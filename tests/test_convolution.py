@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,32 @@ class TestValues:
         spec = ConvolutionSpec(0.5, make_mapping("F1", theta=0.5))
         with pytest.raises(DomainError):
             conv_value(spec, 0.9995)
+
+    def test_radius_cap_takes_nodes_built_on_it(self):
+        # 0.999 e^{it} rounds an ulp above 0.999 at some angles; GridSpec
+        # and render take such nodes, and so does conv_value
+        spec = ConvolutionSpec(0.5, make_mapping("F1", theta=0.5))
+        ring = np.exp(2j * math.pi * np.arange(4096) / 4096)
+        assert np.any(np.abs(0.999 * ring) > 0.999)
+        assert np.isfinite(conv_value(spec, 0.999 * ring)).all()
+        with pytest.raises(DomainError):
+            conv_value(spec, (0.999 + 1e-9) * ring)
+
+    def test_traced_peak_stays_bounded_at_large_n(self):
+        # the points go through blocks of at most 8,192 kernel elements:
+        # an unblocked call on every point and root traced 46 MiB
+        spec = ConvolutionSpec(0.5, make_mapping("Fn", n=1024, theta=2))
+        rng = np.random.default_rng(85)
+        z = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(
+            2j * math.pi * rng.uniform(size=200))
+        conv_value(spec, 0.1)  # the term table, outside the trace
+        tracemalloc.start()
+        try:
+            conv_value(spec, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

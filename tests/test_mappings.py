@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from harmconv import (DomainError, MappingSpec, ParameterError,
                       series_derivative, series_eval, singular_points,
                       taylor_of_mapping)
 from harmconv.mappings import _atanh_rest, term_table
+from harmconv.special import _log
 
 RNG = np.random.default_rng(21)
 
@@ -209,6 +211,38 @@ def test_singularity_guard():
 def test_outside_disk_rejected():
     with pytest.raises(DomainError):
         eval_h(make_mapping("F0"), 1.2)
+
+
+@pytest.mark.parametrize("n,theta", [(2, math.pi), (15, 2.0), (200, -1.0)])
+def test_lone_logs_product_matches_the_term_by_term_sum(n, theta):
+    # parts sums its lone logs as one product over points x roots; the
+    # term-by-term loop is the reference, to the rounding of the sum
+    t = term_table(make_mapping("Fn", n=n, theta=theta))
+    z = _disk_sample(500, 0.95)
+    loop = t._replace(c=t.c[:0], r=t.r[:0]).parts(z)[0]
+    scale = np.abs(loop)
+    for c, r in zip(t.c, t.r):
+        term = c * _log(1 - r * z)
+        loop, scale = loop + term, scale + np.abs(term)
+    err = np.abs(t.parts(z)[0] - loop)
+    assert np.all(err <= 4 * (len(t.r) + 1) * np.finfo(float).eps * scale)
+
+
+def test_eval_h_traced_peak_stays_bounded():
+    # the points go through blocks of at most 8,192 kernel elements: one
+    # outer product of every point and root would take about 320 MB here
+    spec = make_mapping("Fn", n=200, theta=2)
+    rng = np.random.default_rng(85)
+    z = 0.95 * np.sqrt(rng.uniform(size=10 ** 5)) * np.exp(
+        2j * math.pi * rng.uniform(size=10 ** 5))
+    eval_h(spec, 0.1)  # the term table, outside the trace
+    tracemalloc.start()
+    try:
+        eval_h(spec, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_singular_points_sets():

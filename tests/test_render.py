@@ -5,11 +5,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from harmconv import (ConvolutionSpec, FigureSpec, ParameterError,
-                      conv_value, make_mapping, render_webbing, render)
+from harmconv import (ConvolutionSpec, FigureSpec, ParameterError, _core,
+                      conv_value, convolution, make_mapping, render_webbing,
+                      render)
 from harmconv._core import MAX_RADIUS
-from harmconv.convolution import _values
-from harmconv.mappings import term_table
+from harmconv.mappings import TermTable, term_table
 from harmconv.render import _curves
 
 SMALL = FigureSpec(rings=4, rays=8, samples_per_curve=96)
@@ -157,34 +157,43 @@ def test_blocks_match_one_call_per_curve(spec, size):
         assert np.all(np.abs(c - want) <= 1e-13 * np.maximum(1, np.abs(want)))
 
 
-# _values calls per figure: 2, 2, 4, 17 and 5 kernel elements a point
-CALLS = {"default": [5, 5, 12, 34, 12], "reduced": [1, 1, 1, 2, 1]}
+# value-route calls per figure, at 2, 2, 4, 17 and 5 kernel elements a point:
+# 17,418 samples in blocks of 4,096, 4,096, 2,048, 481 and 1,638 points,
+# and 772 samples
+CALLS = {"default": [5, 5, 9, 37, 11], "reduced": [1, 1, 1, 2, 1]}
 
 
 @pytest.mark.parametrize("size", FIGURES)
 @pytest.mark.parametrize("k", range(len(BLOCK_SPECS)), ids=BLOCK_IDS)
 def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
-    # every _values call holds consecutive whole curves of at most
-    # _RENDER_BLOCK kernel elements, points x (lone-log roots + 2), but a
-    # curve longer than that goes alone: Fn n=15 has 15 roots, so each of
-    # its 512-sample curves (8,704 or 8,721 elements) takes one call
+    # a figure is one _image call on every sample, curve after curve, and
+    # _image's blocks split it into value-route calls, one odd_integrals
+    # each, of at most _BLOCK kernel elements, points x (lone-log roots +
+    # 2), or one point alone; a block ends where the budget does, not where
+    # a curve does
     spec, fig = BLOCK_SPECS[k], FIGURES[size]
-    seen = []
+    images, seen = [], []
+    odd_integrals = TermTable.odd_integrals
 
-    def spy(a, t, z):
-        seen.append(len(z))
-        return _values(a, t, z)
+    def image(a, t, z):
+        images.append(z)
+        return convolution._image(a, t, z)
 
-    monkeypatch.setattr(render, "_values", spy)
-    ends = np.cumsum([len(c) for c in _curves(spec, fig)])
-    last = np.searchsorted(ends, np.cumsum(seen))  # each call's last curve
-    assert np.array_equal(ends[last], np.cumsum(seen))
-    alone = np.diff(last, prepend=-1) == 1
-    elements = np.multiply(seen, len(term_table(spec.right).r) + 2)
-    assert np.all((elements <= render._RENDER_BLOCK) | alone)
+    def values(t, z):
+        seen.append(z)
+        return odd_integrals(t, z)
+
+    monkeypatch.setattr(render, "_image", image)
+    monkeypatch.setattr(TermTable, "odd_integrals", values)
+    curves = _curves(spec, fig)
+    assert len(images) == 1
+    assert np.array_equal(images[0], np.concatenate(seen))
+    assert len(images[0]) == sum(len(c) for c in curves)
+    per = len(term_table(spec.right).r) + 2
+    sizes = [len(z) for z in seen]
+    assert all(n * per <= _core._BLOCK or n == 1 for n in sizes)
+    assert sizes[:-1] == [_core._BLOCK // per] * (len(sizes) - 1)
     assert len(seen) == CALLS[size][k]
-    if BLOCK_IDS[k] == "Fn15-pi" and size == "default":
-        assert alone.all() and min(elements) > render._RENDER_BLOCK
 
 
 def one_curve(xs, ys):
