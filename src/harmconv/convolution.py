@@ -208,7 +208,8 @@ def conv_value(spec: ConvolutionSpec, z):
 
     Closed forms for every right factor: H = (1+a)/2 h_r + (1-a)/4 I_h and
     G = (1+a)/2 g_r - (1-a)/4 I_g, where I_h and I_g integrate the odd
-    quotients from 0 to z; a log term integrates to a dilogarithm pair.
+    quotients from 0 to z; a log term integrates to a dilogarithm pair,
+    Li2(-rz) - Li2(rz) = -2 chi_2(rz), one ``special._chi2`` element.
     The points go to ``_image`` flat, a scalar as one, in bounded memory
     whatever n.  |z| may pass MAX_RADIUS by RADIUS_SLACK, as nodes on it do.
     """

@@ -41,7 +41,7 @@ import numpy as np
 from ._core import (SINGULARITY_GUARD, blocks, check_a, finish, instance,
                     norm_theta, positive_int, prepare)
 from .errors import DomainError, ParameterError, SingularityError
-from .special import _li2, _log
+from .special import _chi2, _log
 
 # the parameters each family takes, and the check of each
 _PARAMETERS = {"F0": (), "Fa": ("a",), "F1": ("theta",), "Fn": ("theta", "n")}
@@ -187,25 +187,24 @@ class TermTable(NamedTuple):
     def odd_integrals(self, z):
         """Integrals from 0 to z of the odd quotients, the Hadamard products
         with L = log((1+z)/(1-z)): alpha L - 2k F for w and the pair, plus
-        c (Li2(-rz) - Li2(rz)) per lone log, for h; s L minus that for g.
-        F, the second divided difference of chi_2(rz) at r = 1, 1, 1-d, is
-        ``_chi_series`` at the near points, where rho = |d| max(1, |z/(1-z)|,
-        |z/(1+z)|) < 1/4, and at the far points chi = Li2(-rz) - Li2(rz) at
-        r = 1 - d and r = 1 (r[0] for n > 1) over d^2, where 1/d^2 <= 16
-        (rho/d)^2.  One ``_li2`` call takes the lone logs' roots at every
-        point and the far route's extra roots at the far points only.  Each
-        argument is +-r z with |r| = 1 and z in the open disk, as its callers
-        check, where ``li2``'s check cannot fail and its clamp would move no
-        point by more than an ulp.  z may have any shape."""
+        c chi per lone log, chi = Li2(-rz) - Li2(rz) = -2 chi_2(rz), for h;
+        s L minus that for g.  F, the second divided difference of chi_2(rz)
+        at r = 1, 1, 1-d, is ``_chi_series`` at the near points, where rho =
+        |d| max(1, |z/(1-z)|, |z/(1+z)|) < 1/4, and at the far points chi
+        at r = 1 - d and r = 1 (r[0] for n > 1) over d^2, where 1/d^2 <= 16
+        (rho/d)^2.  One ``_chi2`` call takes the lone logs' roots at every
+        point and the far route's extra roots at the far points only, one
+        element per root and point.  Each argument is r z with |r| = 1 and
+        z in the open disk, as its callers check.  z may have any shape."""
         L = 2 * z * (1 + z * z * _atanh_rest(z))
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
         near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
         extra = [1 - d] if m else [1, 1 - d]  # root 1 is r[0] for n > 1
-        # chi = Li2(-rz) - Li2(rz) at the lone roots at every point, then at
-        # the extra roots at the far points
+        # chi at the lone roots at every point, then at the extra roots at
+        # the far points
         y = np.concatenate((np.multiply.outer(z, self.r).ravel(),
                             np.multiply.outer(z[~near], extra).ravel()))
-        chi = np.subtract(*_li2(np.multiply.outer((-1, 1), y)))
+        chi = -2 * _chi2(y)
         chi_r = chi[:z.size * m].reshape(*z.shape, m)
         chi_f = chi[z.size * m:].reshape(-1, len(extra))
         ih = self.alpha * L + ((chi_r * self.c).sum(-1) if m else 0)

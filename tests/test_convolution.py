@@ -16,7 +16,7 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       taylor_of_mapping, univalency_radius,
                       zeros_in_unit_disk)
 from harmconv.convolution import _log_jets
-from harmconv.special import _li2
+from harmconv.special import _chi2
 
 RNG = np.random.default_rng(31)
 
@@ -493,20 +493,19 @@ def test_coefficient_errors_name_the_coefficients(make):
 
 def test_far_route_evaluates_each_root_once(monkeypatch):
     # Fn n=3 theta=pi/4 takes the far pair at every point (|d| > 1/4); its
-    # root 1 is also the r = 1 lone log's, so one _li2 argument row serves both
+    # root 1 is also the r = 1 lone log's, so one _chi2 argument serves both
     calls = []
 
     def spy(y):
         calls.append(y)
-        return _li2(y)
+        return _chi2(y)
 
-    monkeypatch.setattr(mappings, "_li2", spy)
+    monkeypatch.setattr(mappings, "_chi2", spy)
     right = make_mapping("Fn", n=3, theta=math.pi / 4)
     z = 0.9 * np.exp(2j * math.pi * np.arange(16) / 16)
     conv_value(ConvolutionSpec(0.5, right), z)
-    (y,) = calls  # the arguments as (sign, point, root)
-    rows = np.moveaxis(y, -1, 0).reshape(y.shape[-1], -1)  # one row a root
-    assert len({row.tobytes() for row in rows}) == len(rows)
+    (y,) = calls  # the arguments, one a point and root, flat
+    assert len({v.tobytes() for v in y}) == y.size
 
 
 @pytest.mark.parametrize("right", [
@@ -515,29 +514,66 @@ def test_far_route_evaluates_each_root_once(monkeypatch):
     make_mapping("Fn", n=2, theta=3.1), make_mapping("Fn", n=3, theta=math.pi / 4)],
     ids=["F0", "F1", "Fn2-pi", "Fn2-3", "Fn2-3.1", "Fn3-pi/4"])
 def test_each_point_takes_its_own_route(right, monkeypatch):
-    # odd_integrals' _li2 takes 2 elements per lone-log root at every point,
-    # and the far pair's 2 more (root 1 - d) only at the far points, where
-    # rho = |d| max(1, |z/(1-z)|, |z/(1+z)|) >= 1/4, 4 (root 1 too) for a
+    # odd_integrals' _chi2 takes 1 element per lone-log root at every point,
+    # and the far pair's 1 more (root 1 - d) only at the far points, where
+    # rho = |d| max(1, |z/(1-z)|, |z/(1+z)|) >= 1/4, 2 (root 1 too) for a
     # table with no lone log; a point's value is the one it has alone
     sizes = []
 
     def spy(y):
         sizes.append(y.size)
-        return _li2(y)
+        return _chi2(y)
 
     rng = np.random.default_rng(32)
     z = 0.99 * np.sqrt(rng.uniform(size=400)) * np.exp(
         2j * math.pi * rng.uniform(size=400))
     spec, t = ConvolutionSpec(0.5, right), mappings.term_table(right)
     alone = np.array([conv_value(spec, p) for p in z])
-    monkeypatch.setattr(mappings, "_li2", spy)
+    monkeypatch.setattr(mappings, "_chi2", spy)
     got = conv_value(spec, z)
     rho = abs(t.d) * np.maximum(1, np.maximum(abs(z / (1 - z)), abs(z / (1 + z))))
     m, far = len(t.r), np.count_nonzero(rho >= 0.25)
-    assert sum(sizes) == 2 * m * z.size + (2 if m else 4) * far
+    assert sum(sizes) == m * z.size + (1 if m else 2) * far
     if right.theta in (3, 3.1):
         assert 0 < far < z.size  # both routes in one call
     assert np.all(np.abs(got - alone) <= 1e-13 * np.maximum(1, np.abs(alone)))
+
+
+def odd_integral_h(mp, t, v):
+    """I_h of the table t at the mpmath point v, by the closed form that
+    ``TermTable.odd_integrals`` takes at its far points, in mpmath."""
+    def chi(r):
+        return mp.polylog(2, -r * v) - mp.polylog(2, r * v)
+    d, L = mp.mpc(t.d), mp.log((1 + v) / (1 - v))
+    lone = sum(mp.mpc(c) * chi(mp.mpc(r)) for c, r in zip(t.c, t.r))
+    return mp.mpc(t.alpha) * L + lone + mp.mpc(t.k) / d * ((chi(1 - d) - chi(1)) / d - L)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("theta", [3, 3.1])
+def test_far_pair_against_mpmath(n, theta, monkeypatch):
+    # near theta = pi the far pair divides chi at r = 1 - d and r = 1 by
+    # d^2, |d| = 0.07 to 0.008 here, so it keeps an error well above chi's.
+    # On the 8 of 3,000 points where I_h by chi_2 and by the dilogarithm
+    # pair it replaced, (li2(-rz) - li2(rz)), differ most, both against the
+    # same closed form at 50 digits, relative to max(1, |I_h|): chi_2 read
+    # 2.5e-14 to 1.8e-13, the pair 3.3e-14 to 3.2e-13
+    mp = pytest.importorskip("mpmath")
+    t = mappings.term_table(make_mapping("Fn", n=n, theta=theta))
+    rng = np.random.default_rng(32)
+    z = 0.999 * np.sqrt(rng.uniform(size=3000)) * np.exp(
+        2j * math.pi * rng.uniform(size=3000))
+    got = t.odd_integrals(z)[0]
+    monkeypatch.setattr(mappings, "_chi2", lambda y: (li2(y) - li2(-y)) / 2)
+    pair = t.odd_integrals(z)[0]
+    worst = np.argsort(np.abs(got - pair))[-8:]
+    with mp.workdps(50):
+        ref = [odd_integral_h(mp, t, mp.mpc(v)) for v in z[worst]]
+
+        def error(values):
+            return max(float(abs(mp.mpc(g) - r) / max(1, abs(r)))
+                       for g, r in zip(values[worst], ref))
+        assert error(got) <= min(3 * error(pair), 1e-12)
 
 
 LOG_JET_RIGHTS = [make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -194,6 +195,21 @@ def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
     assert all(n * per <= _core._BLOCK or n == 1 for n in sizes)
     assert sizes[:-1] == [_core._BLOCK // per] * (len(sizes) - 1)
     assert len(seen) == CALLS[size][k]
+
+
+def test_default_f1_figure_traced_peak():
+    # each value-route block takes chi_2 once a root and point, at most
+    # 8,192 arguments, where the dilogarithm pair took 16,384: the default
+    # figure's traced peak read 2,023 KiB, and 2,607 KiB with the pair
+    spec, fig = spec_f1(a=0.8), FigureSpec()
+    render_webbing(spec, fig)  # the term table, outside the trace
+    tracemalloc.start()
+    try:
+        render_webbing(spec, fig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2300 * 1024
 
 
 def one_curve(xs, ys):
