@@ -10,6 +10,12 @@ Convolving with z/(1-z) is the identity, and with L it integrates the odd
 quotient (h(t) - h(-t))/t from 0 to z.  Both routes are closed forms in
 the right factor's terms, with no quadrature and no small-|z| branch, and
 ``_left`` alone combines them, for values, derivatives and jets alike.
+
+The quotient is even, so its integral is odd, bit for bit
+(``TermTable.odd_integrals``).  On points that come in antipodal pairs
+(z, -z), as render's rings of even size and fans of an even number of
+rays do, ``_image`` takes the integrals once per pair; nothing checks that
+the caller's pairs are exact.
 """
 import math
 from dataclasses import dataclass
@@ -61,14 +67,26 @@ def _left(a, f, D):
     return (1 + a) / 2 * fh + (1 - a) / 4 * dh, (1 + a) / 2 * fg - (1 - a) / 4 * dg
 
 
-def _image(a, t, z):
-    """H + conj(G) at the 1-d points z for the right factor's table t,
-    unchecked, for ``conv_value`` and render: ``_core.blocks`` of len(t.r)
-    + 2 elements a point, the rows of ``TermTable.odd_integrals``."""
+def _image(a, t, z, pairs=False):
+    """H + conj(G) at the 1-d points z, or the pairs below, for the right
+    factor's table t, unchecked, for ``conv_value`` and render:
+    ``_core.blocks`` of len(t.r) + 2 elements a point, the rows of
+    ``TermTable.odd_integrals``.
+
+    If pairs, z has shape (N, 2) and each row must be an antipodal pair
+    (z_k, -z_k), exactly: nothing checks it.  The odd integrals are odd bit
+    for bit, so they are taken on the first column only and negated for
+    the second; the parts h and g, which are not odd, take both.  A pair
+    counts as two points against the block's budget, so each block holds
+    as many points as in the plain layout."""
     def image(y):
-        H, G = _left(a, t.parts(y), t.odd_integrals(y))
-        return H + np.conj(G)
-    return blocks(image, z, len(t.r) + 2)
+        if pairs:
+            I = [np.stack((i, -i), -1).ravel() for i in t.odd_integrals(y[:, 0])]
+        else:
+            I = t.odd_integrals(y)
+        H, G = _left(a, t.parts(y.ravel()), I)
+        return (H + np.conj(G)).reshape(y.shape)
+    return blocks(image, z, (2 if pairs else 1) * (len(t.r) + 2))
 
 
 def _odd_guard(t, arr):
@@ -133,8 +151,9 @@ def _unit_ring(K):
     # e^{2 pi i k/K}, k < K, built once a K: its exp took about 30 of the
     # 230 us of a 1440-node ring, and a radius search asks for 2-8 rings.
     # For even K the second half is the first negated, exactly, so that
-    # ``_derivatives`` may take the odd quotient on the first half; they
-    # differ from their own exp by the rounding of its angle, under 2e-15
+    # ``_derivatives`` may take the odd quotient, and render the odd
+    # integrals, on the first half; they differ from their own exp by the
+    # rounding of its angle, under 2e-15
     ring = np.exp(2j * math.pi * np.arange(K) / K)
     if K % 2 == 0:
         ring[K // 2:] = -ring[:K // 2]

@@ -195,7 +195,15 @@ class TermTable(NamedTuple):
         (rho/d)^2.  One ``_chi2`` call takes the lone logs' roots at every
         point and the far route's extra roots at the far points only, one
         element per root and point.  Each argument is r z with |r| = 1 and
-        z in the open disk, as its callers check.  z may have any shape."""
+        z in the open disk, as its callers check.  z may have any shape.
+
+        Both integrals are odd, and z is folded onto Re z >= 0, as in
+        ``_chi2``, so that those at -z are those at z negated bit for bit,
+        signed zeros included; ``convolution._image`` takes them once per
+        antipodal pair.  Without the fold, a sum that is exactly zero on an
+        axis has the same sign at z and -z."""
+        neg = np.signbit(z.real)
+        z = np.where(neg, -z, z)  # folded: a negation is exact
         L = 2 * z * (1 + z * z * _atanh_rest(z))
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
         near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
@@ -215,7 +223,11 @@ class TermTable(NamedTuple):
             pair[far] = self.k / d * ((chi_f[:, -1] - one) / d - L[far])
         if near.any():
             pair[near] = -2 * self.k * _chi_series(d, w[near], v[near], L[near] / 2)
-        return ih + pair, self.s * L - ih - pair
+        out = np.empty((2, *np.shape(z)), complex)  # I_h, I_g
+        np.add(ih, pair, out=out[0, ...])
+        np.subtract(self.s * L - ih, pair, out=out[1, ...])
+        np.negative(out, out=out, where=neg)  # unfolded
+        return out[0], out[1]
 
 
 def _orbit(c, r, d, g=1, half=False):

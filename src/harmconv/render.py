@@ -15,7 +15,7 @@ import numpy as np
 
 from ._core import MAX_RADIUS, instance, positive_int, real
 from ._text import WORDS, groups
-from .convolution import ConvolutionSpec, _image
+from .convolution import ConvolutionSpec, _image, _unit_ring
 from .errors import ParameterError
 from .mappings import term_table
 
@@ -46,20 +46,40 @@ class FigureSpec:
 def _curves(spec: ConvolutionSpec, fig: FigureSpec):
     """Sample all webbing curves; returns a list of vertex arrays, each
     an array of complex image points H + conj(G), as ``conv_value`` gives
-    them.  FigureSpec keeps every sample within |z| <= max_radius < 1, so
-    one array of closed rings and then rays goes to the unchecked
-    ``convolution._image``, which bounds its memory, in one call."""
+    them.  Ring j's nodes are r_j times those of ``convolution._unit_ring(S)``,
+    ray k runs along node k of ``_unit_ring(K)``, and each ring closes on a
+    copy of its first vertex's image.  For even S node k + S/2 of a ring
+    is exactly -node k, and for even K ray k + K/2 is exactly -ray k: such
+    samples go to ``convolution._image`` as antipodal pairs, all in one
+    call, which takes their odd integrals once a pair.  The rings of odd S
+    and the rays of odd K go as lone points in a second call, made only if
+    there are any.  FigureSpec keeps every sample within |z| <= max_radius
+    < 1, so the unchecked ``_image``, which bounds its memory, may take
+    them."""
     S, R, K = fig.samples_per_curve, fig.rings, fig.rays
-    t = 2 * math.pi * np.arange(S + 1) / S  # rings are closed loops
-    s = fig.max_radius * np.arange(S) / (S - 1)
-    z = np.empty(R * (S + 1) + K * S, complex)
-    np.multiply.outer(fig.max_radius * np.arange(1, R + 1) / R,
-                      np.exp(1j * t), out=z[:R * (S + 1)].reshape(R, S + 1))
-    np.multiply.outer(np.exp(1j * (2 * math.pi * np.arange(K) / K)), s,
-                      out=z[R * (S + 1):].reshape(K, S))
     table = term_table(instance(spec, ConvolutionSpec, "spec").right)
-    v = _image(spec.a, table, z)
-    return [*v[:R * (S + 1)].reshape(R, S + 1), *v[R * (S + 1):].reshape(K, S)]
+    # each grid as (u, f), its sample [k, j] at u[k] f[j]: ring node k at
+    # radius j, and ray k at distance j.  For even len(u) row k + len(u)/2
+    # is -row k, and only the first half is sampled, with its negation
+    grids = [(_unit_ring(S), fig.max_radius * np.arange(1, R + 1) / R),
+             (_unit_ring(K), fig.max_radius * np.arange(S) / (S - 1))]
+    values = [None, None]
+    for pairs in (True, False):
+        which = [g for g, (u, _) in enumerate(grids)
+                 if (len(u) % 2 == 0) == pairs]
+        if not which:
+            continue
+        zs = [np.multiply.outer(u[:len(u) // 2] if pairs else u, f).ravel()
+              for u, f in (grids[g] for g in which)]
+        z = np.concatenate(zs)
+        v = _image(spec.a, table, np.stack((z, -z), -1) if pairs else z, pairs)
+        # [k, j, member] back to [k + member len(u)/2, j]
+        for g, part in zip(which, np.split(v.reshape(len(z), -1), [len(zs[0])])):
+            u, f = grids[g]
+            values[g] = np.moveaxis(part.reshape(-1, len(f), part.shape[-1]),
+                                    -1, 0).reshape(len(u), len(f))
+    rings, rays = values  # rings as [node, radius]
+    return [*np.concatenate((rings.T, rings[:1].T), 1), *rays]
 
 
 # the most vertices one _points call formats, in whole curves (a longer curve

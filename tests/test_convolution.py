@@ -539,6 +539,38 @@ def test_each_point_takes_its_own_route(right, monkeypatch):
     assert np.all(np.abs(got - alone) <= 1e-13 * np.maximum(1, np.abs(alone)))
 
 
+ODD_RIGHTS = [make_mapping("F0"), make_mapping("F1", theta=math.pi / 6),
+              make_mapping("F1", theta=math.pi - 1e-6),
+              make_mapping("Fn", n=2, theta=math.pi),
+              make_mapping("Fn", n=3, theta=math.pi / 4),
+              make_mapping("Fn", n=15, theta=math.pi),
+              make_mapping("Fn", n=40, theta=2)]
+
+
+@pytest.mark.parametrize("right", ODD_RIGHTS, ids=[
+    "F0", "F1-pi/6", "F1-pi-1e-6", "Fn2-pi", "Fn3-pi/4", "Fn15-pi", "Fn40-2"])
+def test_odd_integrals_are_odd_bit_for_bit(right):
+    # render takes the odd integrals once per antipodal pair and negates
+    # them for the second member, so at -z they must be those at z negated
+    # in every bit, signed zeros included: on points off the axes, on them
+    # and at the four signed zeros, in one block per sign.  Points near 1
+    # (and, negated, near -1) are far points where |d| allows them: at n =
+    # 40, theta = 2, the block takes both routes
+    rng = np.random.default_rng(33)
+    z = np.concatenate((
+        0.999 * np.sqrt(rng.uniform(size=300)) * np.exp(
+            2j * math.pi * rng.uniform(size=300)),
+        1 - np.geomspace(2e-3, 0.2, 50) * np.exp(1j * rng.uniform(-1.2, 1.2, 50)),
+        [0.5, 0.99, -0.3, 0.7j, -0.2j],
+        [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]))
+    t = mappings.term_table(right)
+    for got, want in zip(t.odd_integrals(-z), t.odd_integrals(z)):
+        assert got.tobytes() == (-want).tobytes()
+    if right.n == 40:
+        rho = abs(t.d) * np.maximum(1, np.maximum(abs(z / (1 - z)), abs(z / (1 + z))))
+        assert 0 < np.count_nonzero(rho >= 0.25) < z.size
+
+
 def odd_integral_h(mp, t, v):
     """I_h of the table t at the mpmath point v, by the closed form that
     ``TermTable.odd_integrals`` takes at its far points, in mpmath."""

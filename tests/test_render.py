@@ -125,14 +125,25 @@ FIGURES = {"default": FigureSpec(),
            "reduced": FigureSpec(rings=4, rays=8, samples_per_curve=64)}
 
 
+def antipodal_ring(K):
+    """e^{2 pi i k/K}, k < K, with node k + K/2 exactly -node k for even K:
+    the nodes of a figure's rings and the turns of its rays, built here
+    independently of the library."""
+    ring = np.exp(2j * math.pi * np.arange(K) / K)
+    if K % 2 == 0:
+        ring[K // 2:] = -ring[:K // 2]
+    return ring
+
+
 def curve_params(fig):
-    """The points of each webbing curve, as _curves samples them."""
+    """The points of each webbing curve, as _curves samples them: each ring
+    closes on its first node."""
     S = fig.samples_per_curve
-    t = 2 * math.pi * np.arange(S + 1) / S
+    nodes = antipodal_ring(S)
     s = fig.max_radius * np.arange(S) / (S - 1)
-    return ([fig.max_radius * (j + 1) / fig.rings * np.exp(1j * t)
+    return ([fig.max_radius * (j + 1) / fig.rings * np.append(nodes, nodes[0])
              for j in range(fig.rings)]
-            + [s * np.exp(2j * math.pi * k / fig.rays) for k in range(fig.rays)])
+            + [s * turn for turn in antipodal_ring(fig.rays)])
 
 
 # Fn n=2 at theta = 3 and 3.1 (a=0.5): curves near z = 1 take the far
@@ -142,13 +153,9 @@ MIXED_SPECS = [ConvolutionSpec(0.5, make_mapping("Fn", n=2, theta=theta))
 MIXED_IDS = ["Fn2-3", "Fn2-3.1"]
 
 
-@pytest.mark.parametrize("size", FIGURES)
-@pytest.mark.parametrize("spec", BLOCK_SPECS + MIXED_SPECS,
-                         ids=BLOCK_IDS + MIXED_IDS)
-def test_blocks_match_one_call_per_curve(spec, size):
+def assert_matches_conv_value(spec, fig):
     # curves sent to conv_value in blocks come back as conv_value gives
     # them one curve a call
-    fig = FIGURES[size]
     curves = _curves(spec, fig)
     params = curve_params(fig)
     assert len(curves) == len(params)
@@ -158,27 +165,68 @@ def test_blocks_match_one_call_per_curve(spec, size):
         assert np.all(np.abs(c - want) <= 1e-13 * np.maximum(1, np.abs(want)))
 
 
+@pytest.mark.parametrize("size", FIGURES)
+@pytest.mark.parametrize("spec", BLOCK_SPECS + MIXED_SPECS,
+                         ids=BLOCK_IDS + MIXED_IDS)
+def test_blocks_match_one_call_per_curve(spec, size):
+    assert_matches_conv_value(spec, FIGURES[size])
+
+
+# samples with no antipode: rings of odd S, rays of odd K, and both
+UNPAIRED = {"odd-S": FigureSpec(rings=3, rays=4, samples_per_curve=65),
+            "odd-K": FigureSpec(rings=2, rays=3, samples_per_curve=64),
+            "odd-both": FigureSpec(rings=2, rays=5, samples_per_curve=65)}
+
+
+@pytest.mark.parametrize("size", UNPAIRED)
+@pytest.mark.parametrize("spec", BLOCK_SPECS + MIXED_SPECS,
+                         ids=BLOCK_IDS + MIXED_IDS)
+def test_unpaired_curves_match_one_call_per_curve(spec, size, monkeypatch):
+    # odd curves take the plain layout, in a second _image call; a layout
+    # with no samples makes no call
+    fig, layouts = UNPAIRED[size], []
+
+    def image(a, t, z, pairs=False):
+        layouts.append(pairs)
+        return convolution._image(a, t, z, pairs)
+
+    monkeypatch.setattr(render, "_image", image)
+    assert_matches_conv_value(spec, fig)
+    paired = fig.samples_per_curve % 2 == 0 or fig.rays % 2 == 0
+    assert layouts == ([True, False] if paired else [False])
+
+
+@pytest.mark.parametrize("size", [*FIGURES, *UNPAIRED])
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=BLOCK_IDS)
+def test_rings_close_bit_for_bit(spec, size):
+    # a ring's last vertex is its first vertex's image, copied: recomputed
+    # at e^{2 pi i}, the F0 ring at 0.99 closed 3.6e-10 below the real axis
+    fig = {**FIGURES, **UNPAIRED}[size]
+    for ring in _curves(spec, fig)[:fig.rings]:
+        assert ring[-1:].tobytes() == ring[:1].tobytes()
+
+
 # value-route calls per figure, at 2, 2, 4, 17 and 5 kernel elements a point:
-# 17,418 samples in blocks of 4,096, 4,096, 2,048, 481 and 1,638 points,
-# and 772 samples
+# 8,704 antipodal pairs in blocks of 2,048, 2,048, 1,024, 240 and 819 pairs,
+# and 384 pairs; the 10, and 4, closing vertices are copies
 CALLS = {"default": [5, 5, 9, 37, 11], "reduced": [1, 1, 1, 2, 1]}
 
 
 @pytest.mark.parametrize("size", FIGURES)
 @pytest.mark.parametrize("k", range(len(BLOCK_SPECS)), ids=BLOCK_IDS)
 def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
-    # a figure is one _image call on every sample, curve after curve, and
+    # a figure of even S and K is one _image call on antipodal pairs, and
     # _image's blocks split it into value-route calls, one odd_integrals
-    # each, of at most _BLOCK kernel elements, points x (lone-log roots +
-    # 2), or one point alone; a block ends where the budget does, not where
-    # a curve does
+    # each on the pairs' first members, of at most _BLOCK kernel elements,
+    # points x (lone-log roots + 2) with both members counted, or one pair
+    # alone; a block ends where the budget does, not where a curve does
     spec, fig = BLOCK_SPECS[k], FIGURES[size]
     images, seen = [], []
     odd_integrals = TermTable.odd_integrals
 
-    def image(a, t, z):
-        images.append(z)
-        return convolution._image(a, t, z)
+    def image(a, t, z, pairs=False):
+        images.append((z, pairs))
+        return convolution._image(a, t, z, pairs)
 
     def values(t, z):
         seen.append(z)
@@ -188,19 +236,23 @@ def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
     monkeypatch.setattr(TermTable, "odd_integrals", values)
     curves = _curves(spec, fig)
     assert len(images) == 1
-    assert np.array_equal(images[0], np.concatenate(seen))
-    assert len(images[0]) == sum(len(c) for c in curves)
-    per = len(term_table(spec.right).r) + 2
-    sizes = [len(z) for z in seen]
+    z, pairs = images[0]
+    assert pairs and z.shape[1] == 2
+    assert z[:, 1].tobytes() == (-z[:, 0]).tobytes()
+    assert np.array_equal(z[:, 0], np.concatenate(seen))
+    assert 2 * len(z) + fig.rings == sum(len(c) for c in curves)
+    per = 2 * (len(term_table(spec.right).r) + 2)
+    sizes = [len(y) for y in seen]
     assert all(n * per <= _core._BLOCK or n == 1 for n in sizes)
     assert sizes[:-1] == [_core._BLOCK // per] * (len(sizes) - 1)
     assert len(seen) == CALLS[size][k]
 
 
 def test_default_f1_figure_traced_peak():
-    # each value-route block takes chi_2 once a root and point, at most
-    # 8,192 arguments, where the dilogarithm pair took 16,384: the default
-    # figure's traced peak read 2,023 KiB, and 2,607 KiB with the pair
+    # each value-route block takes chi_2 once a root and pair, at most
+    # 4,096 arguments: the default figure's traced peak read 1,530 KiB,
+    # 2,023 KiB with the odd integrals taken at every point, and 2,607 KiB
+    # with them as dilogarithm pairs
     spec, fig = spec_f1(a=0.8), FigureSpec()
     render_webbing(spec, fig)  # the term table, outside the trace
     tracemalloc.start()
@@ -209,7 +261,7 @@ def test_default_f1_figure_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2300 * 1024
+    assert peak < 1750 * 1024
 
 
 def one_curve(xs, ys):
