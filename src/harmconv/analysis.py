@@ -601,9 +601,12 @@ def univalency_radius(spec: ConvolutionSpec, tol: float = 1e-6) -> float:
     """Univalency radius r: max |Gp/Hp| < 1 on |z| = r and >= 1 on
     |z| = r + tol; 1.0 when the circle |z| = OUTER_RADIUS = 1 - 1e-6 passes.
 
-    So 1.0 certifies max |Gp/Hp| < 1 on |z| = 1 - 1e-6, and by the maximum
-    modulus argument below on the disk inside it; for F0 and F1 right factors
-    it is also the paper's theorem, local univalence in the whole disk.
+    So 1.0 means the circle |z| = 1 - 1e-6 passes as any circle does: its
+    ring and the peaks Newton raises from it stay below 1.  It is not a
+    certificate: the ring can step over a narrow peak next to a pole, and
+    Fn n=2 theta=1 a=-0.9999 returns 1.0 though |Gp/Hp| reaches 2.198 on
+    that circle (ROADMAP item 2).  For F0 and F1 right factors 1.0 is also
+    the paper's theorem, local univalence in the whole disk.
 
     If Hp has no zeros on |z| <= r (assumed, not checked), Gp/Hp is analytic
     there, so its maximum M(r) on |z| = r is nondecreasing by the maximum

@@ -136,8 +136,10 @@ def check(family, a, n, theta, radii, angles, fmt):
 def radius(family, a, n, theta, tol):
     """Estimate the univalency radius of the convolution.
 
-    1.0 means max |dilatation| < 1 on |z| = 1 - 1e-6; for f0 and f1 it is
-    also the paper's theorem, local univalence in the whole disk.
+    1.0 means that a ring of |z| = 1 - 1e-6 and its Newton-raised peaks
+    stay below 1, not a certificate: near a = -1 the ring can miss a
+    narrow peak by a pole.  For f0 and f1 it is also the paper's theorem,
+    local univalence in the whole disk.
     """
     r = univalency_radius(_conv_spec(family, n, theta, a), tol)
     click.echo(f"{r:.6f}")

@@ -41,7 +41,7 @@ import numpy as np
 from ._core import (SINGULARITY_GUARD, blocks, check_a, finish, instance,
                     norm_theta, positive_int, prepare)
 from .errors import DomainError, ParameterError, SingularityError
-from .special import _chi2, _log
+from .special import _chi2, _horner, _log
 
 # the parameters each family takes, and the check of each
 _PARAMETERS = {"F0": (), "Fa": ("a",), "F1": ("theta",), "Fn": ("theta", "n")}
@@ -281,10 +281,7 @@ def _atanh_rest(y):
     x = np.where(small, 0.5, y)  # placeholder: the series replaces it
     out = np.asarray((_log((1 + x) / (1 - x)) / (2 * x) - 1) / (x * x))
     if small.any():
-        t, acc = y[small] ** 2, 0
-        for j in range(19, 1, -2):
-            acc = acc * t + 1 / j
-        out[small] = acc
+        out[small] = _horner([1 / j for j in range(3, 21, 2)], y[small] ** 2)
     return out
 
 

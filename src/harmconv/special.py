@@ -6,13 +6,14 @@ chi_2(x) = sum_{k>=0} x^(2k+1)/(2k+1)^2 = (Li2(x) - Li2(-x))/2 (Lewin,
 Polylogarithms and Associated Functions, 1981) is one series in tau = 2
 atanh x, or, past |tau| = |log x|, in log x by Landen's identity: one
 evaluation where the dilogarithm pair took two series, two logs and a
-reflection.
+reflection.  Both series, li2's in Bernoulli numbers and chi_2's in the
+coefficients of sigma/sinh sigma, take their coefficients from one float
+recurrence and are summed by one Horner loop, ``_horner``.
 
 All accept scalars or numpy arrays and are safe to call concurrently; they
 hold no mutable state.
 """
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,23 +21,6 @@ from ._core import prepare, finish
 from .errors import DomainError
 
 PI2_6 = math.pi ** 2 / 6
-
-# |u| <= pi/3 where the series runs, so term k is below 6^-2k |u|: the tail
-# past 12 terms is below 1e-20 |u|
-_LOG_SERIES_TERMS = 12
-
-
-def _even_bernoulli_over_factorial(count):
-    # B_2k/(2k+1)! for k = 1..count; exact rationals, then floats
-    bern = [Fraction(1)]
-    for m in range(1, 2 * count + 1):
-        s = sum(Fraction(math.comb(m + 1, j)) * bern[j] for j in range(m))
-        bern.append(-s / (m + 1))
-    return np.array([float(bern[2 * k] / math.factorial(2 * k + 1))
-                     for k in range(1, count + 1)])
-
-
-_B_EVEN = _even_bernoulli_over_factorial(_LOG_SERIES_TERMS)
 
 # chi_2's series variable never exceeds pi/2 (at x = +-i) and the series
 # converges for |tau| < pi, so term k is below 4^-k: 26 terms reach eps
@@ -56,6 +40,14 @@ def _sigma_over_sinh(count):
 
 
 _CHI_SERIES = _sigma_over_sinh(_CHI_SERIES_TERMS)
+
+# |u| <= pi/3 where li2's series runs, so term k is below 6^-2k |u|: the
+# tail past 12 terms is below 1e-20 |u|
+_LOG_SERIES_TERMS = 12
+# B_2k/(2k+1)! for k = 1..12, -2 _CHI_SERIES[k]/(4^k - 2): within 1.4e-15
+# of the exact rationals
+_B_EVEN = np.array([-2 * _CHI_SERIES[k] / (4 ** k - 2)
+                    for k in range(1, _LOG_SERIES_TERMS + 1)])
 # |x|^2 is floored here before its log, which then only the series route
 # sees: below it |tau| ~ 2|x| is far under |log x|.  At x = 0 log 0 = -inf
 # would warn, and the unused Landen value would be -inf * 0
@@ -78,13 +70,25 @@ def _log(w):
     return out
 
 
+def _horner(c, x):
+    """sum_k c[k] x^k by Horner's rule, for two coefficients or more.  Each
+    product goes into a new array: numpy rounds a complex product written
+    over its own operand otherwise on one element than on many.  Callers
+    name the result before multiplying by it, for the same reason: past
+    16,384 elements numpy writes a product over an unnamed operand."""
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = acc * x
+        acc += ck
+    return acc
+
+
 def li2(z):
     """Dilogarithm sum_{k>=1} z^k/k^2 on the closed unit disk.
 
     Arguments with |z| in (1, 1+1e-12] are clamped to the circle; anything
     farther out, or NaN, raises DomainError.  Absolute and relative error
     stay below 1e-15 everywhere on the closed disk, subnormal z included.
-    The points are checked here, once; ``_li2`` evaluates them.
     """
     arr, scalar = prepare(z)
     w = np.atleast_1d(arr).astype(complex)  # a copy: w is scaled in place
@@ -94,13 +98,6 @@ def li2(z):
     over = r > 1
     if np.any(over):
         w[over] /= r[over]
-    return finish(_li2(w).reshape(arr.shape), scalar)
-
-
-def _li2(w):
-    """``li2`` at the complex points w, of any shape, on the closed unit
-    disk, unchecked: a point outside it, or NaN, gives a wrong number
-    rather than an error.  w is not written to.  Only ``li2`` calls it."""
     # Li2(x) = sum_j B_j u^(j+1)/(j+1)! in u = -log(1-x), converging for
     # |u| < 2pi; Re x <= 1/2 keeps |u| <= pi/3.  Re z > 1/2 takes x = 1-z.
     left = w.real <= 0.5
@@ -109,11 +106,9 @@ def _li2(w):
     # log|1-x| and arg(1-x) without cancellation as x -> 0
     u = -(0.5 * np.log1p(a * (a - 2) + b * b) + 1j * np.arctan2(-b, 1 - a))
     s = u * u
-    acc = np.full_like(s, _B_EVEN[-1])
-    for c in _B_EVEN[-2::-1]:  # B_odd = 0 past B_1 = -1/2
-        acc *= s
-        acc += c
-    out = u + s * (u * acc - 0.25)
+    acc = _horner(_B_EVEN, s)  # B_odd = 0 past B_1 = -1/2
+    t = u * acc - 0.25  # named, as _horner asks
+    out = u + s * t
 
     # reflection Li2(z) = pi^2/6 - log z log(1-z) - Li2(1-z), with log z = -u
     # and log(1-z) = _log(x): |x| is often near 1, where np.log is slow
@@ -121,7 +116,7 @@ def _li2(w):
     refl = ~left & ~one
     out[refl] = PI2_6 + u[refl] * _log(x[refl]) - out[refl]
     out[one] = PI2_6
-    return out
+    return finish(out.reshape(arr.shape), scalar)
 
 
 def _chi2(x):
@@ -154,13 +149,7 @@ def _chi2(x):
     near = (tau.real ** 2 + tau.imag ** 2 <= log.real ** 2 + log.imag ** 2)
     s = np.where(near, tau, log)  # chi_2 is odd: log x stands for -log x
     out = np.where(near, 0, math.pi ** 2 / 8 + 0.5 * log * tau)  # + series
-    # each product into a new array: numpy rounds a complex product written
-    # over its own operand otherwise on one element than on many
-    s2 = s * s
-    acc = _CHI_SERIES[-1]
-    for c in _CHI_SERIES[-2::-1]:
-        acc = acc * s2
-        acc += c
+    acc = _horner(_CHI_SERIES, s * s)
     out += s * acc
     out.real *= sign
     out.imag *= sign

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import harmconv
 
 
@@ -18,3 +22,15 @@ def test_public_names_are_pinned():
         "univalency_radius", "zeros_in_unit_disk",
     ]
     assert all(hasattr(harmconv, name) for name in harmconv.__all__)
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # every coefficient table is built in floats; a fresh interpreter, as
+    # the suite's own plugins load both modules
+    src = os.path.dirname(os.path.dirname(harmconv.__file__))
+    code = ("import sys, harmconv; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "[]\n"

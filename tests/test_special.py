@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from harmconv import DomainError, li2
-from harmconv.special import _CHI_SERIES, _chi2, _log
+from harmconv.special import _B_EVEN, _CHI_SERIES, _chi2, _log
 
 PI2_6 = math.pi ** 2 / 6
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
@@ -266,10 +266,25 @@ def test_chi2_point_alone_has_its_bits_in_a_block():
     assert np.array_equal(got[pick], [_chi2(x[i]) for i in pick])
 
 
+def test_li2_point_alone_has_its_bits_in_a_block():
+    # the same for li2 on the closed disk, a quarter of the points on its
+    # circle: Horner's products each go into a new array, and past 16,384
+    # points numpy would write a product over an unnamed operand
+    rng = np.random.default_rng(34)
+    r = np.sqrt(rng.uniform(size=2 ** 15))
+    r[::4] = 1
+    z = r * np.exp(2j * math.pi * rng.uniform(size=2 ** 15))
+    got = li2(z)
+    pick = rng.choice(z.size, 256, replace=False)
+    assert np.array_equal(got[pick], [li2(z[i:i + 1])[0] for i in pick])
+    assert np.array_equal(got[pick], [li2(z[i]) for i in pick])
+
+
 def test_chi2_series_coefficients_against_exact_rationals():
     # a_k/(2(2k+1)), a_k = -(2^2k - 2) B_2k/(2k)! the coefficients of
     # sigma/sinh sigma, from Bernoulli numbers in exact rationals; the
-    # kernel's float recurrence keeps them within 3e-15
+    # kernel's float recurrence keeps them within 3e-15, and li2's
+    # B_2k/(2k+1)!, k = 1..12, taken from them, within 1.4e-15
     count = len(_CHI_SERIES)
     bern = [Fraction(1)]
     for m in range(1, 2 * count - 1):
@@ -278,4 +293,8 @@ def test_chi2_series_coefficients_against_exact_rationals():
              for k in range(count)]
     assert count == 26
     for got, want in zip(_CHI_SERIES, exact):
+        assert abs(Fraction(float(got)) - want) <= 4e-15 * abs(want)
+    assert len(_B_EVEN) == 12
+    for k, got in enumerate(_B_EVEN, 1):
+        want = bern[2 * k] / math.factorial(2 * k + 1)
         assert abs(Fraction(float(got)) - want) <= 4e-15 * abs(want)
