@@ -12,10 +12,10 @@ the right factor's terms, with no quadrature and no small-|z| branch, and
 ``_left`` alone combines them, for values, derivatives and jets alike.
 
 The quotient is even, so its integral is odd, bit for bit
-(``TermTable.odd_integrals``).  On points that come in antipodal pairs
-(z, -z), as render's rings of even size and fans of an even number of
-rays do, ``_image`` takes the integrals once per pair; nothing checks that
-the caller's pairs are exact.
+(``TermTable.odd_integrals``).  ``_image`` takes its points as rows of one
+member, or of two, an antipodal pair (z, -z), as render's rings of even
+size and fans of an even number of rays give them, and takes the
+integrals once a row; nothing checks that the caller's pairs are exact.
 """
 import math
 from dataclasses import dataclass
@@ -67,26 +67,22 @@ def _left(a, f, D):
     return (1 + a) / 2 * fh + (1 - a) / 4 * dh, (1 + a) / 2 * fg - (1 - a) / 4 * dg
 
 
-def _image(a, t, z, pairs=False):
-    """H + conj(G) at the 1-d points z, or the pairs below, for the right
-    factor's table t, unchecked, for ``conv_value`` and render:
-    ``_core.blocks`` of len(t.r) + 2 elements a point, the rows of
-    ``TermTable.odd_integrals``.
-
-    If pairs, z has shape (N, 2) and each row must be an antipodal pair
-    (z_k, -z_k), exactly: nothing checks it.  The odd integrals are odd bit
-    for bit, so they are taken on the first column only and negated for
-    the second; the parts h and g, which are not odd, take both.  A pair
-    counts as two points against the block's budget, so each block holds
-    as many points as in the plain layout."""
+def _image(a, t, z):
+    """H + conj(G) at the points z for the right factor's table t,
+    unchecked, for ``conv_value`` and render.  z has shape (N, m): each row
+    is one point (m = 1) or an antipodal pair (z_k, -z_k) (m = 2), exactly:
+    nothing checks it.  The odd integrals are odd bit for bit
+    (``TermTable.odd_integrals``), so they are taken on column 0 and
+    negated into column 1; the parts h and g, which are not odd, take every
+    member.  ``_core.blocks`` of m (len(t.r) + 2) elements a row, so each
+    block holds as many points whatever m."""
     def image(y):
-        if pairs:
-            I = [np.stack((i, -i), -1).ravel() for i in t.odd_integrals(y[:, 0])]
-        else:
-            I = t.odd_integrals(y)
-        H, G = _left(a, t.parts(y.ravel()), I)
+        I = np.empty((2, *y.shape), complex)  # I_h, I_g at every member
+        I[..., 0] = t.odd_integrals(y[:, 0])
+        np.negative(I[..., :1], out=I[..., 1:])  # nothing to do if m = 1
+        H, G = _left(a, t.parts(y.ravel()), I.reshape(2, -1))
         return (H + np.conj(G)).reshape(y.shape)
-    return blocks(image, z, (2 if pairs else 1) * (len(t.r) + 2))
+    return blocks(image, z, z.shape[1] * (len(t.r) + 2))
 
 
 def _odd_guard(t, arr):
@@ -229,11 +225,11 @@ def conv_value(spec: ConvolutionSpec, z):
     G = (1+a)/2 g_r - (1-a)/4 I_g, where I_h and I_g integrate the odd
     quotients from 0 to z; a log term integrates to a dilogarithm pair,
     Li2(-rz) - Li2(rz) = -2 chi_2(rz), one ``special._chi2`` element.
-    The points go to ``_image`` flat, a scalar as one, in bounded memory
-    whatever n.  |z| may pass MAX_RADIUS by RADIUS_SLACK, as nodes on it do.
+    Points go to ``_image`` as rows of one, in bounded memory whatever n.
+    |z| may pass MAX_RADIUS by RADIUS_SLACK, as nodes on it do.
     """
     arr, scalar = prepare(z)
     if not np.all(np.abs(arr) <= MAX_RADIUS + RADIUS_SLACK):  # NaN fails too
         raise DomainError(f"conv_value requires |z| <= {MAX_RADIUS}")
     t = term_table(instance(spec, ConvolutionSpec, "spec").right)
-    return finish(_image(spec.a, t, arr.ravel()).reshape(arr.shape), scalar)
+    return finish(_image(spec.a, t, arr.reshape(-1, 1)).reshape(arr.shape), scalar)

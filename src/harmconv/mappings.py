@@ -190,9 +190,9 @@ class TermTable(NamedTuple):
         c chi per lone log, chi = Li2(-rz) - Li2(rz) = -2 chi_2(rz), for h;
         s L minus that for g.  F, the second divided difference of chi_2(rz)
         at r = 1, 1, 1-d, is ``_chi_series`` at the near points, where rho =
-        |d| max(1, |z/(1-z)|, |z/(1+z)|) < 1/4, and at the far points chi
-        at r = 1 - d and r = 1 (r[0] for n > 1) over d^2, where 1/d^2 <= 16
-        (rho/d)^2.  One ``_chi2`` call takes the lone logs' roots at every
+        |d| max(1, |z/(1-z)|) < 1/4 (z folded, below), and at the far points
+        chi at r = 1 - d and r = 1 (r[0] for n > 1) over d^2, where 1/d^2 <=
+        16 (rho/d)^2.  One ``_chi2`` call takes the lone logs' roots at every
         point and the far route's extra roots at the far points only, one
         element per root and point.  Each argument is r z with |r| = 1 and
         z in the open disk, as its callers check.  z may have any shape.
@@ -201,12 +201,12 @@ class TermTable(NamedTuple):
         ``_chi2``, so that those at -z are those at z negated bit for bit,
         signed zeros included; ``convolution._image`` takes them once per
         antipodal pair.  Without the fold, a sum that is exactly zero on an
-        axis has the same sign at z and -z."""
+        axis has the same sign at z and -z.  Folded, |z/(1+z)| <= |z/(1-z)|."""
         neg = np.signbit(z.real)
         z = np.where(neg, -z, z)  # folded: a negation is exact
         L = 2 * z * (1 + z * z * _atanh_rest(z))
         w, v, d, m = z / (1 - z), -z / (1 + z), self.d, len(self.c)
-        near = abs(d) * np.maximum(1, np.maximum(np.abs(w), np.abs(v))) < 0.25
+        near = abs(d) * np.maximum(1, np.abs(w)) < 0.25
         extra = [1 - d] if m else [1, 1 - d]  # root 1 is r[0] for n > 1
         # chi at the lone roots at every point, then at the extra roots at
         # the far points
@@ -215,7 +215,7 @@ class TermTable(NamedTuple):
         chi = -2 * _chi2(y)
         chi_r = chi[:z.size * m].reshape(*z.shape, m)
         chi_f = chi[z.size * m:].reshape(-1, len(extra))
-        ih = self.alpha * L + ((chi_r * self.c).sum(-1) if m else 0)
+        ih = self.alpha * L + (chi_r * self.c).sum(-1)
         pair = np.empty_like(z)  # -2k F
         if not near.all():  # chi at r = 1 and 1 - d
             far = ~near
@@ -295,9 +295,9 @@ def _phi(x):
 def _chi_series(d, w, v, b):
     # F(d) = (f(1-d) - f(1) + d f'(1))/d^2 of f(r) = chi_2(rz) as the Taylor
     # series in -d, sum_k b_k (-d)^(k-1)/(k+1), with b_0 = atanh z and b_k =
-    # (w^k - v^k)/(2k) - b_(k-1), w = z/(1-z), v = -z/(1+z): the terms
-    # shrink like rho^k, and it runs until rho^k < 2^-56
-    top = abs(d) * max(1, np.abs(w).max(), np.abs(v).max())
+    # (w^k - v^k)/(2k) - b_(k-1), w = z/(1-z), v = -z/(1+z), |v| <= |w| for
+    # Re z >= 0: the terms shrink like rho^k, and it runs until rho^k < 2^-56
+    top = abs(d) * max(1, np.abs(w).max())
     dk, acc = 1, 0
     for j in range(1, 2 + (int(-38.8 / math.log(top)) if top else 0)):
         b = (w ** j - v ** j) / (2 * j) - b

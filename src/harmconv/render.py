@@ -50,33 +50,32 @@ def _curves(spec: ConvolutionSpec, fig: FigureSpec):
     ray k runs along node k of ``_unit_ring(K)``, and each ring closes on a
     copy of its first vertex's image.  For even S node k + S/2 of a ring
     is exactly -node k, and for even K ray k + K/2 is exactly -ray k: such
-    samples go to ``convolution._image`` as antipodal pairs, all in one
-    call, which takes their odd integrals once a pair.  The rings of odd S
-    and the rays of odd K go as lone points in a second call, made only if
-    there are any.  FigureSpec keeps every sample within |z| <= max_radius
-    < 1, so the unchecked ``_image``, which bounds its memory, may take
-    them."""
+    samples go to ``convolution._image`` in one call as rows of two
+    members, antipodal pairs, whose odd integrals it takes once a row.  The
+    rings of odd S and the rays of odd K go as rows of one member in a
+    second call, made only if there are any.  FigureSpec keeps every sample
+    within |z| <= max_radius < 1, so the unchecked ``_image``, which bounds
+    its memory, may take them."""
     S, R, K = fig.samples_per_curve, fig.rings, fig.rays
     table = term_table(instance(spec, ConvolutionSpec, "spec").right)
     # each grid as (u, f), its sample [k, j] at u[k] f[j]: ring node k at
     # radius j, and ray k at distance j.  For even len(u) row k + len(u)/2
-    # is -row k, and only the first half is sampled, with its negation
+    # is -row k: only the first half is sampled, as m = 2 members (z, -z)
     grids = [(_unit_ring(S), fig.max_radius * np.arange(1, R + 1) / R),
              (_unit_ring(K), fig.max_radius * np.arange(S) / (S - 1))]
     values = [None, None]
-    for pairs in (True, False):
-        which = [g for g, (u, _) in enumerate(grids)
-                 if (len(u) % 2 == 0) == pairs]
+    for m in (2, 1):
+        which = [g for g, (u, _) in enumerate(grids) if 2 - len(u) % 2 == m]
         if not which:
             continue
-        zs = [np.multiply.outer(u[:len(u) // 2] if pairs else u, f).ravel()
+        zs = [np.multiply.outer(u[:len(u) // m], f).ravel()
               for u, f in (grids[g] for g in which)]
         z = np.concatenate(zs)
-        v = _image(spec.a, table, np.stack((z, -z), -1) if pairs else z, pairs)
-        # [k, j, member] back to [k + member len(u)/2, j]
-        for g, part in zip(which, np.split(v.reshape(len(z), -1), [len(zs[0])])):
+        v = _image(spec.a, table, np.stack((z, -z)[:m], -1))
+        # [k, j, member] back to [k + member len(u)/m, j]
+        for g, part in zip(which, np.split(v, [len(zs[0])])):
             u, f = grids[g]
-            values[g] = np.moveaxis(part.reshape(-1, len(f), part.shape[-1]),
+            values[g] = np.moveaxis(part.reshape(-1, len(f), m),
                                     -1, 0).reshape(len(u), len(f))
     rings, rays = values  # rings as [node, radius]
     return [*np.concatenate((rings.T, rings[:1].T), 1), *rays]

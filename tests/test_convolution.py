@@ -15,7 +15,7 @@ from harmconv import (ConvolutionSpec, DomainError, FigureSpec, GridSpec,
                       series_div, series_eval, shear_series,
                       taylor_of_mapping, univalency_radius,
                       zeros_in_unit_disk)
-from harmconv.convolution import _log_jets
+from harmconv.convolution import _image, _log_jets, _unit_ring
 from harmconv.special import _chi2
 
 RNG = np.random.default_rng(31)
@@ -567,6 +567,38 @@ def test_odd_integrals_are_odd_bit_for_bit(right):
     for got, want in zip(t.odd_integrals(-z), t.odd_integrals(z)):
         assert got.tobytes() == (-want).tobytes()
     if right.n == 40:
+        rho = abs(t.d) * np.maximum(1, np.maximum(abs(z / (1 - z)), abs(z / (1 + z))))
+        assert 0 < np.count_nonzero(rho >= 0.25) < z.size
+
+
+PAIR_RIGHTS = [*ODD_RIGHTS[:4], make_mapping("Fn", n=2, theta=3.1),
+               *ODD_RIGHTS[4:]]
+
+
+@pytest.mark.parametrize("S", [512, 64, 65])
+@pytest.mark.parametrize("right", PAIR_RIGHTS, ids=[
+    "F0", "F1-pi/6", "F1-pi-1e-6", "Fn2-pi", "Fn2-3.1", "Fn3-pi/4",
+    "Fn15-pi", "Fn40-2"])
+def test_pair_rows_match_lone_rows(right, S):
+    # _image on rows of antipodal pairs (z, -z) takes the odd integrals on
+    # the first member and negates them; rows of one take them at every
+    # point.  At n = 15 and 40 (17 and 42 kernel elements a point) the two
+    # layouts end their blocks at other points: the near series may then
+    # run to another block's largest rho, hence n = 40's bound, and a
+    # block's last point alone sums its lone logs in another order (numpy's
+    # one-row matmul: with 4 rings of S = 512, n = 40 moved a value by
+    # 3.4e-15).  At theta = 3.1 and 2 the rings take both sides of the near
+    # test
+    t = mappings.term_table(right)
+    z = np.multiply.outer(0.99 * np.arange(1, 11) / 10, _unit_ring(S)).ravel()
+    pairs = np.stack((z, -z), -1)
+    got = _image(0.5, t, pairs).ravel()
+    want = _image(0.5, t, pairs.reshape(-1, 1)).ravel()
+    if right.n == 40:
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1, np.abs(want)))
+    else:
+        assert got.tobytes() == want.tobytes()
+    if right.theta in (3.1, 2):
         rho = abs(t.d) * np.maximum(1, np.maximum(abs(z / (1 - z)), abs(z / (1 + z))))
         assert 0 < np.count_nonzero(rho >= 0.25) < z.size
 

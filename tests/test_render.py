@@ -182,18 +182,18 @@ UNPAIRED = {"odd-S": FigureSpec(rings=3, rays=4, samples_per_curve=65),
 @pytest.mark.parametrize("spec", BLOCK_SPECS + MIXED_SPECS,
                          ids=BLOCK_IDS + MIXED_IDS)
 def test_unpaired_curves_match_one_call_per_curve(spec, size, monkeypatch):
-    # odd curves take the plain layout, in a second _image call; a layout
+    # odd curves take rows of one member, in a second _image call; a layout
     # with no samples makes no call
     fig, layouts = UNPAIRED[size], []
 
-    def image(a, t, z, pairs=False):
-        layouts.append(pairs)
-        return convolution._image(a, t, z, pairs)
+    def image(a, t, z):
+        layouts.append(z.shape[1])
+        return convolution._image(a, t, z)
 
     monkeypatch.setattr(render, "_image", image)
     assert_matches_conv_value(spec, fig)
     paired = fig.samples_per_curve % 2 == 0 or fig.rays % 2 == 0
-    assert layouts == ([True, False] if paired else [False])
+    assert layouts == ([2, 1] if paired else [1])
 
 
 @pytest.mark.parametrize("size", [*FIGURES, *UNPAIRED])
@@ -215,18 +215,19 @@ CALLS = {"default": [5, 5, 9, 37, 11], "reduced": [1, 1, 1, 2, 1]}
 @pytest.mark.parametrize("size", FIGURES)
 @pytest.mark.parametrize("k", range(len(BLOCK_SPECS)), ids=BLOCK_IDS)
 def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
-    # a figure of even S and K is one _image call on antipodal pairs, and
-    # _image's blocks split it into value-route calls, one odd_integrals
-    # each on the pairs' first members, of at most _BLOCK kernel elements,
-    # points x (lone-log roots + 2) with both members counted, or one pair
-    # alone; a block ends where the budget does, not where a curve does
+    # a figure of even S and K is one _image call on rows of antipodal
+    # pairs, and _image's blocks split it into value-route calls, one
+    # odd_integrals each on the pairs' first members, of at most _BLOCK
+    # kernel elements, points x (lone-log roots + 2) with both members
+    # counted, or one pair alone; a block ends where the budget does, not
+    # where a curve does
     spec, fig = BLOCK_SPECS[k], FIGURES[size]
     images, seen = [], []
     odd_integrals = TermTable.odd_integrals
 
-    def image(a, t, z, pairs=False):
-        images.append((z, pairs))
-        return convolution._image(a, t, z, pairs)
+    def image(a, t, z):
+        images.append(z)
+        return convolution._image(a, t, z)
 
     def values(t, z):
         seen.append(z)
@@ -236,8 +237,8 @@ def test_each_call_takes_whole_curves_within_the_budget(k, size, monkeypatch):
     monkeypatch.setattr(TermTable, "odd_integrals", values)
     curves = _curves(spec, fig)
     assert len(images) == 1
-    z, pairs = images[0]
-    assert pairs and z.shape[1] == 2
+    z = images[0]
+    assert z.shape == (len(z), 2)
     assert z[:, 1].tobytes() == (-z[:, 0]).tobytes()
     assert np.array_equal(z[:, 0], np.concatenate(seen))
     assert 2 * len(z) + fig.rings == sum(len(c) for c in curves)
